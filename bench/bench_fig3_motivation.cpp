@@ -31,7 +31,6 @@ int main() {
   prog.redundancy_rel_epsilon = 1e-4;  // information-free re-sends
   bsp::Config cfg;
   cfg.topo = sim::Topology{6, 8};
-  cfg.cost = sim::CostModel::hama_java();
   cfg.max_supersteps = 35;  // the figure's horizon
   cfg.track_redundant = true;
   bsp::Engine<algo::PageRankBsp> engine(g, make_edge_cut(g, RunOptions{}, 48), prog, cfg);

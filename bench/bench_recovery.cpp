@@ -110,7 +110,6 @@ Row run_hama(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts
   prog.epsilon = opts.epsilon;
   bsp::Config cfg;
   cfg.topo = sim::Topology{opts.machines, opts.workers / opts.machines};
-  cfg.cost = sim::CostModel::hama_java();
   cfg.max_supersteps = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
@@ -142,7 +141,6 @@ Row run_powergraph(const algo::Dataset& d, const graph::Csr& g, const RunOptions
   prog.epsilon = opts.epsilon;
   gas::Config cfg;
   cfg.topo = sim::Topology{opts.machines, 1};
-  cfg.cost = sim::CostModel::boost_cpp();
   cfg.max_iterations = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));

@@ -114,7 +114,6 @@ CellResult run_bsp(const graph::GraphStore& g, const algo::Dataset& d, Prog prog
   (void)d;
   bsp::Config cfg;
   cfg.topo = sim::Topology{opts.machines, opts.workers / opts.machines};
-  cfg.cost = sim::CostModel::hama_java();
   cfg.max_supersteps = opts.max_supersteps;
   bsp::Engine<Prog> engine(g, make_edge_cut(g, opts, opts.workers), prog, cfg);
   auto stats = engine.run();
@@ -164,7 +163,6 @@ inline CellResult run_cell(const algo::Dataset& d, const graph::GraphStore& g, E
         // per machine, like CyclopsMT — this is what makes the Table 4
         // replication factors comparable.
         cfg.topo = sim::Topology{opts.machines, 1};
-        cfg.cost = sim::CostModel::boost_cpp();
         cfg.max_iterations = opts.max_supersteps;
         const WorkerId parts = cfg.topo.total_workers();
         const auto vcut = opts.multilevel

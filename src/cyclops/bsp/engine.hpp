@@ -26,26 +26,35 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cyclops/bsp/engine_base.hpp"
 #include "cyclops/common/bitset.hpp"
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
 #include "cyclops/common/spinlock.hpp"
-#include "cyclops/common/thread_pool.hpp"
 #include "cyclops/common/timer.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/metrics/memory_model.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
 #include "cyclops/partition/partition.hpp"
-#include "cyclops/runtime/checkpoint.hpp"
-#include "cyclops/runtime/exchange_accounting.hpp"
-#include "cyclops/runtime/superstep_driver.hpp"
+#include "cyclops/runtime/engine_shell.hpp"
 #include "cyclops/runtime/sync_channel.hpp"
-#include "cyclops/sim/fabric.hpp"
+#include "cyclops/sim/software_model.hpp"
 #include "cyclops/verify/verify.hpp"
 
 namespace cyclops::bsp {
+
+/// BSP configuration; the knobs beyond the shared runtime ones mirror Hama's.
+struct Config : runtime::EngineConfig {
+  Superstep max_supersteps = 100;
+  bool use_combiner = false;     ///< Hama's sender-side combiner
+  bool track_redundant = false;  ///< Fig 3(2) instrumentation
+
+  [[nodiscard]] static Config workers(WorkerId w) {
+    Config c;
+    c.topo = sim::Topology{w, 1};
+    return c;
+  }
+};
 
 template <typename P>
 concept Combinable = requires(const P& p, typename P::Message m) {
@@ -61,12 +70,27 @@ concept HasNearlyEqual = requires(const P& p, typename P::Message m) {
 };
 
 template <typename Program>
-class Engine {
+class Engine : public runtime::EngineShell<Engine<Program>, Config> {
+  using Shell = runtime::EngineShell<Engine<Program>, Config>;
+  friend Shell;
+  using Shell::acct_, Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+
  public:
   using Value = typename Program::Value;
   using Message = typename Program::Message;
   static_assert(std::is_trivially_copyable_v<Message>,
                 "messages cross simulated machines; they must be POD");
+
+  /// Pregel-style checkpoints (§3.6) carry the undelivered in-queues in any
+  /// mode — pending messages are not derivable from vertex state — so BSP's
+  /// natural snapshot is the heavyweight one.
+  static constexpr runtime::CheckpointMode kCheckpointMode =
+      runtime::CheckpointMode::kHeavyweight;
+  static constexpr sim::CostModel kCost = sim::CostModel::hama_java();
+  static constexpr sim::SoftwareModel kSoftware = sim::SoftwareModel::hama_java();
+  /// BSP's transient allocation is its mailboxes and in-queues, accounted
+  /// in PRS, not the wire traffic.
+  static constexpr bool kWireIsChurn = false;
 
   /// Per-vertex view handed to Program::compute.
   class Context {
@@ -78,9 +102,7 @@ class Engine {
     [[nodiscard]] VertexId num_vertices() const noexcept {
       return engine_.graph_->num_vertices();
     }
-    [[nodiscard]] Superstep superstep() const noexcept {
-      return engine_.driver_.superstep();
-    }
+    [[nodiscard]] Superstep superstep() const noexcept { return engine_.superstep(); }
 
     [[nodiscard]] const Value& value() const noexcept { return engine_.values_[vertex_]; }
     void set_value(const Value& v) noexcept {
@@ -129,42 +151,16 @@ class Engine {
   /// temporaries; the graph must outlive the engine.
   Engine(const graph::GraphStore& g, partition::EdgeCutPartition part, Program program,
          Config config)
-      : graph_(&g),
+      : Shell(std::move(config), g.message_budget_bytes()),
+        graph_(&g),
         part_(std::move(part)),
-        program_(std::move(program)),
-        config_(config),
-        pool_(config.pool_threads),
-        fabric_(config.topo, config.cost) {
-    CYCLOPS_CHECK(part_.num_parts() == config.topo.total_workers());
+        program_(std::move(program)) {
+    CYCLOPS_CHECK(part_.num_parts() == config_.topo.total_workers());
     CYCLOPS_CHECK(g.num_vertices() == part_.num_vertices());
-    if (config_.faults) {
-      fabric_.install_faults(config_.faults.get());
-      driver_.set_fault_injector(config_.faults.get());
-    }
-    if (config_.message_log) fabric_.install_log(config_.message_log.get());
-    if (config_.schedule) pool_.set_task_order(config_.schedule.get());
-    driver_.set_checker(&vcheck_);
-    if (const std::uint64_t budget = graph_->message_budget_bytes(); budget > 0) {
-      acct_.arm_spill(budget, config_.cost.disk_byte_us);
-    }
     build_local_state();
   }
 
-  /// Runs to termination (all halted and no messages in flight, or the
-  /// superstep limit).
-  metrics::RunStats run() {
-    return driver_.run(
-        config_.max_supersteps, acct_,
-        [this](metrics::SuperstepStats& step) { return run_superstep(step); },
-        [this](const metrics::SuperstepStats& step) {
-          if (observer_) observer_(step, std::span<const Value>(values_));
-        });
-  }
-
   [[nodiscard]] std::span<const Value> values() const noexcept { return values_; }
-  [[nodiscard]] const sim::Fabric& fabric() const noexcept { return fabric_; }
-  [[nodiscard]] Superstep superstep() const noexcept { return driver_.superstep(); }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Per-superstep observer: (stats, values). Used for L1 tracking.
   void set_observer(
@@ -172,85 +168,15 @@ class Engine {
     observer_ = std::move(fn);
   }
 
-  /// The engine's invariant checker (no-op object unless -DCYCLOPS_VERIFY).
-  [[nodiscard]] verify::EngineChecker& verifier() noexcept { return vcheck_; }
-  [[nodiscard]] const verify::EngineChecker& verifier() const noexcept { return vcheck_; }
-
-  // --- Pregel-style checkpointing (§3.6): values + activity + undelivered
-  // messages, written after the global barrier. BSP cannot shed its pending
-  // messages in any mode — they are not derivable from vertex state — so the
-  // "lightweight" snapshot still carries the in-queues; only mode-tagging
-  // differs. That is exactly the asymmetry §3.6 claims against Cyclops. The
-  // snapshot is a per-machine frameset (checkpoint.hpp): each frame carries
-  // the vertex slices owned by that machine's workers plus those workers'
-  // in-queues, so localized recovery reloads one machine's frame. ---
-  void checkpoint(ByteWriter& out,
-                  runtime::CheckpointMode mode = runtime::CheckpointMode::kHeavyweight)
-      const {
-    runtime::write_frameset(out, config_.topo.machines,
-                            [&](MachineId m, ByteWriter& frame) {
-                              checkpoint_machine(m, frame, mode);
-                            });
-  }
-
-  /// Throws SerializeError (recoverable) on truncated, corrupt, or
-  /// wrong-shape snapshots; the engine may be left partially restored, so
-  /// callers discard it on failure.
-  void restore(ByteReader& in) {
-    runtime::read_frameset(in, config_.topo.machines,
-                           [&](MachineId m, ByteReader& frame) {
-                             restore_machine(m, frame);
-                           });
-  }
-
-  /// Arms a localized-recovery replay window (see runtime/recovery.hpp and
-  /// core::Engine::arm_replay — same contract).
-  void arm_replay(Superstep resume_at, Superstep until, MachineId dead,
-                  std::uint64_t digest_seed) {
-    fabric_.begin_replay(resume_at, until, dead);
-    fabric_.seed_wire_digest(digest_seed);
-    vcheck_.note_replay_window(resume_at, until);
-  }
-
-  /// Arms periodic checkpointing: the driver snapshots this engine through
-  /// `manager` every interval supersteps. Not owned; nullptr detaches.
-  void set_checkpoint_manager(runtime::CheckpointManager* manager) {
-    if (manager == nullptr) {
-      driver_.set_checkpointer(nullptr, {});
-      return;
-    }
-    driver_.set_checkpointer(
-        manager, [this, manager](ByteWriter& out) { checkpoint(out, manager->mode()); });
-  }
-
-  /// Total transient message-buffer bytes allocated over the run (Table 2's
-  /// GC-pressure analog).
-  [[nodiscard]] std::uint64_t mailbox_churn_bytes() const noexcept {
-    return acct_.churn_bytes();
-  }
-
   /// Memory behaviour for Table 2: resident graph state plus transient
-  /// message churn. Hama has no replicas, but each message is materialized
-  /// once on the wire, once in the global in-queue, and once in a mailbox.
+  /// message churn (message_churn_bytes is the GC-pressure analog). Hama has
+  /// no replicas, but each message is materialized once on the wire, once in
+  /// the global in-queue, and once in a mailbox.
   [[nodiscard]] metrics::MemoryReport memory_report() const noexcept {
     metrics::MemoryReport r;
+    r.vertex_state_bytes = graph_->num_vertices() * sizeof(Value);
     const graph::StoreMemory sm = graph_->memory();
-    r.vertex_state_bytes = graph_->num_vertices() * sizeof(Value) + sm.resident_bytes;
-    r.store_resident_bytes = sm.resident_bytes;
-    r.store_on_disk_bytes = sm.on_disk_bytes;
-    r.replica_bytes = 0;
-    r.peak_message_bytes = acct_.peak_buffered_bytes();
-    if (acct_.spill_budget_bytes() > 0) {
-      r.peak_message_bytes = std::min(r.peak_message_bytes, acct_.spill_budget_bytes());
-    }
-    r.message_spill_bytes = acct_.spill_bytes();
-    r.message_churn_bytes = acct_.churn_bytes();
-    r.message_alloc_count = fabric_.totals().total_messages();
-    return r;
-  }
-  /// Messages staged by compute before combining (combiner effectiveness).
-  [[nodiscard]] std::uint64_t total_staged_messages() const noexcept {
-    return acct_.staged_messages();
+    return this->with_store_and_messages(r, sm.resident_bytes, sm.on_disk_bytes);
   }
   /// Global in-queue lock acquisitions — the contention §2.2.2 describes.
   [[nodiscard]] std::uint64_t lock_acquisitions() const noexcept {
@@ -314,22 +240,21 @@ class Engine {
     }
   }
 
-  // Machine m's workers are the contiguous range [m*W, (m+1)*W).
-  [[nodiscard]] std::pair<WorkerId, WorkerId> machine_workers(MachineId m) const noexcept {
-    const WorkerId per = config_.topo.workers_per_machine;
-    return {m * per, (m + 1) * per};
+  void notify(const metrics::SuperstepStats& step) {
+    if (observer_) observer_(step, std::span<const Value>(values_));
   }
 
   /// One machine's frame: engine header + superstep + aggregator + the
   /// vertex slices its workers own (deterministic ascending-id order; ids
   /// are implicit because ownership is derivable from the partition) + its
   /// workers' global in-queues. global_error_ is a broadcast aggregate, so
-  /// every frame carries a copy.
+  /// every frame carries a copy. The in-queues ride along in every mode;
+  /// only the mode tag differs — the asymmetry §3.6 claims against Cyclops.
   void checkpoint_machine(MachineId m, ByteWriter& out,
                           runtime::CheckpointMode mode) const {
     runtime::write_engine_header(out, runtime::EngineTag::kBsp, mode,
                                  graph_->num_vertices(), graph_->num_edges());
-    out.write(driver_.superstep());
+    out.write(this->superstep());
     out.write(global_error_);
     const VertexId n = graph_->num_vertices();
     std::vector<Value> vals;
@@ -342,14 +267,14 @@ class Engine {
     }
     out.write_vector(vals);
     out.write_vector(flags);
-    const auto [begin, end] = machine_workers(m);
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) out.write_vector(inqueue_[w]);
   }
 
   void restore_machine(MachineId m, ByteReader& in) {
     (void)runtime::read_engine_header(in, runtime::EngineTag::kBsp,
                                       graph_->num_vertices(), graph_->num_edges());
-    driver_.set_superstep(in.read<Superstep>());
+    this->driver_.set_superstep(in.read<Superstep>());
     global_error_ = in.read<double>();
     const auto vals = in.read_vector<Value>();
     const auto flags = in.read_vector<std::uint8_t>();
@@ -367,12 +292,14 @@ class Engine {
       ++i;
     }
     if (i != vals.size()) throw SerializeError("bsp snapshot shape mismatch");
-    const auto [begin, end] = machine_workers(m);
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) inqueue_[w] = in.read_vector<WireRecord>();
   }
 
+  /// Nothing is derived from other machines' state: the frames are complete.
+  void after_restore() noexcept {}
+
   void note_sent(WorkerId worker, VertexId src, const Message& msg, std::size_t count) {
-    acct_.add_staged(count);
     if (!config_.track_redundant) return;
     if constexpr (HasNearlyEqual<Program>) {
       if (has_last_payload_.test(src) && program_.nearly_equal(last_payload_[src], msg)) {
@@ -412,7 +339,7 @@ class Engine {
 
   bool run_superstep(metrics::SuperstepStats& step) {
     const WorkerId workers = part_.num_parts();
-    const sim::SoftwareModel& sw = config_.software;
+    const sim::SoftwareModel& sw = kSoftware;
 
     // Per-worker work counters; phase time = max over workers of the
     // worker's deterministic operation count x per-op rate (the perfectly
@@ -534,8 +461,7 @@ class Engine {
       r = 0;
     }
 
-    const sim::ExchangeStats xstats = fabric_.exchange(workers);
-    acct_.note_exchange(xstats);
+    this->exchange(step, workers);
 
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
@@ -559,9 +485,6 @@ class Engine {
     step.phases.snd_s = (static_cast<double>(max_of(emitted)) * per_emit_us +
                          static_cast<double>(max_of(delivered)) * per_deliver_us) *
                         1e-6;
-    step.net = xstats.net;
-    step.modeled_comm_s = xstats.modeled_comm_s;
-    step.modeled_barrier_s = xstats.modeled_barrier_s;
 
     // --- SYN: merge aggregators, decide termination. ---
     verify::PhaseScope syn_scope(vcheck_, verify::Phase::kSync);
@@ -589,9 +512,6 @@ class Engine {
   mutable std::vector<graph::AdjCursor> cursors_;  // one per worker task
   partition::EdgeCutPartition part_;
   Program program_;
-  Config config_;
-  ThreadPool pool_;
-  sim::Fabric fabric_;
 
   std::vector<Value> values_;
   std::vector<std::vector<Message>> mailbox_;
@@ -607,9 +527,6 @@ class Engine {
   std::vector<Message> last_payload_;
   DenseBitset has_last_payload_;
 
-  runtime::SuperstepDriver driver_;
-  runtime::ExchangeAccounting acct_;
-  verify::EngineChecker vcheck_;
   double global_error_ = std::numeric_limits<double>::infinity();
   std::function<void(const metrics::SuperstepStats&, std::span<const Value>)> observer_;
 };

@@ -34,30 +34,87 @@
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
-#include "cyclops/common/thread_pool.hpp"
 #include "cyclops/common/timer.hpp"
-#include "cyclops/core/engine_base.hpp"
 #include "cyclops/core/layout.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/metrics/memory_model.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
 #include "cyclops/partition/partition.hpp"
-#include "cyclops/runtime/checkpoint.hpp"
-#include "cyclops/runtime/exchange_accounting.hpp"
-#include "cyclops/runtime/superstep_driver.hpp"
+#include "cyclops/runtime/engine_shell.hpp"
 #include "cyclops/runtime/sync_channel.hpp"
-#include "cyclops/sim/fabric.hpp"
+#include "cyclops/sim/software_model.hpp"
 #include "cyclops/verify/verify.hpp"
 
 namespace cyclops::core {
 
+/// Cyclops engine configuration. One Config type drives both execution
+/// models:
+///   * Cyclops   — one single-threaded worker per partition
+///                 (topo.workers_per_machine > 1, compute_threads == 1);
+///   * CyclopsMT — one worker per machine, decomposed into compute_threads
+///                 computation threads and receiver_threads message
+///                 receivers, with the hierarchical barrier (§5).
+struct Config : runtime::EngineConfig {
+  Superstep max_supersteps = 100;
+
+  unsigned compute_threads = 1;   ///< simulated threads per worker (T in MxWxT/R)
+  unsigned receiver_threads = 1;  ///< simulated message receivers per worker (R)
+  bool hierarchical_barrier = false;  ///< barrier over machines, not workers
+
+  /// Fine-grained convergence detection (§4.4): stop once this fraction of
+  /// vertices is converged. 1.0 disables it (run until no activations).
+  double stop_converged_fraction = 1.0;
+
+  /// Ablation switch: disable dynamic computation by forcing every master
+  /// active in every superstep (the immutable view and unidirectional sync
+  /// remain). Isolates how much of Cyclops' win comes from skipping
+  /// converged vertices vs. from the messaging redesign.
+  bool force_all_active = false;
+
+  /// Plain Cyclops: M machines × W workers each.
+  [[nodiscard]] static Config cyclops(MachineId machines, WorkerId workers_per_machine) {
+    Config c;
+    c.topo = sim::Topology{machines, workers_per_machine};
+    return c;
+  }
+
+  /// CyclopsMT: M machines × 1 worker with T compute / R receiver threads.
+  [[nodiscard]] static Config cyclops_mt(MachineId machines, unsigned threads,
+                                         unsigned receivers) {
+    Config c;
+    c.topo = sim::Topology{machines, 1};
+    c.compute_threads = threads;
+    c.receiver_threads = receivers;
+    c.hierarchical_barrier = true;
+    return c;
+  }
+};
+
 template <typename Program>
-class Engine {
+class Engine : public runtime::EngineShell<Engine<Program>, Config> {
+  using Shell = runtime::EngineShell<Engine<Program>, Config>;
+  friend Shell;
+  using Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+
  public:
   using Value = typename Program::Value;
   using Message = typename Program::Message;
   static_assert(std::is_trivially_copyable_v<Message>,
                 "replica sync payloads cross simulated machines; must be POD");
+
+  /// Lightweight snapshots (§3.6) save masters only: replicas and messages
+  /// are derived from the immutable view and regenerate on restore.
+  static constexpr runtime::CheckpointMode kCheckpointMode =
+      runtime::CheckpointMode::kLightweight;
+  /// Cyclops replica sync rides the same Hadoop RPC stack as Hama, with
+  /// bundled payloads updated in place.
+  static constexpr sim::CostModel kCost = sim::CostModel::cyclops_sync();
+  /// Cyclops runs on the same JVM as Hama (§6.12 notes the language gap
+  /// against C++ PowerGraph), so compute rates match Hama's while messaging
+  /// rates reflect the bundled lock-free sync path.
+  static constexpr sim::SoftwareModel kSoftware = sim::SoftwareModel::cyclops_java();
+  /// The sync messages are the only transient allocation.
+  static constexpr bool kWireIsChurn = true;
 
   /// The per-vertex view handed to Program::compute — read-only access to
   /// all in-neighbors through the distributed immutable view.
@@ -73,9 +130,7 @@ class Engine {
     [[nodiscard]] VertexId num_vertices() const noexcept {
       return engine_.graph_->num_vertices();
     }
-    [[nodiscard]] Superstep superstep() const noexcept {
-      return engine_.driver_.superstep();
-    }
+    [[nodiscard]] Superstep superstep() const noexcept { return engine_.superstep(); }
 
     [[nodiscard]] const Value& value() const noexcept {
       return engine_.values_[worker_][master_idx_];
@@ -132,39 +187,16 @@ class Engine {
 
   Engine(const graph::GraphStore& g, const partition::EdgeCutPartition& part, Program program,
          Config config)
-      : graph_(&g),
-        program_(std::move(program)),
-        config_(config),
-        pool_(config.pool_threads),
-        fabric_(config.topo, config.cost,
-                /*lanes=*/std::max(1u, config.compute_threads)) {
-    CYCLOPS_CHECK(part.num_parts() == config.topo.total_workers());
+      : Shell(config, g.message_budget_bytes(),
+              /*lanes=*/std::max(1u, config.compute_threads)),
+        graph_(&g),
+        program_(std::move(program)) {
+    CYCLOPS_CHECK(part.num_parts() == config_.topo.total_workers());
     CYCLOPS_CHECK(g.num_vertices() == part.num_vertices());
-    if (config_.faults) {
-      fabric_.install_faults(config_.faults.get());
-      driver_.set_fault_injector(config_.faults.get());
-    }
-    if (config_.message_log) fabric_.install_log(config_.message_log.get());
-    if (config_.schedule) pool_.set_task_order(config_.schedule.get());
-    driver_.set_checker(&vcheck_);
-    if (const std::uint64_t budget = graph_->message_budget_bytes(); budget > 0) {
-      acct_.arm_spill(budget, config_.cost.disk_byte_us);
-    }
-    Timer ingress;
-    layout_ = build_layout(g, part);
-    init_state();
-    ingress_s_ = ingress.elapsed_s();
-  }
-
-  metrics::RunStats run() {
-    metrics::RunStats stats = driver_.run(
-        config_.max_supersteps, acct_,
-        [this](metrics::SuperstepStats& step) { return run_superstep(step); },
-        [this](const metrics::SuperstepStats& step) {
-          if (observer_) observer_(step, *this);
-        });
-    stats.ingress_s = ingress_s_;
-    return stats;
+    this->timed_ingress([&] {
+      layout_ = build_layout(g, part);
+      init_state();
+    });
   }
 
   /// Gathers master values into one globally-indexed vector.
@@ -180,24 +212,10 @@ class Engine {
   }
 
   [[nodiscard]] const Layout& layout() const noexcept { return layout_; }
-  [[nodiscard]] const sim::Fabric& fabric() const noexcept { return fabric_; }
-  [[nodiscard]] Superstep superstep() const noexcept { return driver_.superstep(); }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] std::uint64_t converged_count() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : converged_) total += c.count();
-    return total;
-  }
 
   void set_observer(std::function<void(const metrics::SuperstepStats&, const Engine&)> fn) {
     observer_ = std::move(fn);
   }
-
-  /// The engine's invariant checker (a no-op object unless built with
-  /// -DCYCLOPS_VERIFY). Exposed so the CLI can print its summary and tests
-  /// can install a collecting violation handler.
-  [[nodiscard]] verify::EngineChecker& verifier() noexcept { return vcheck_; }
-  [[nodiscard]] const verify::EngineChecker& verifier() const noexcept { return vcheck_; }
 
   /// Raises the superstep cap so run() can be called again to continue an
   /// already-finished computation (e.g. after a topology mutation).
@@ -217,66 +235,7 @@ class Engine {
       r.replica_bytes += wl.num_replicas() * sizeof(Message);
     }
     const graph::StoreMemory sm = graph_->memory();
-    r.store_resident_bytes = sm.resident_bytes;
-    r.store_on_disk_bytes = sm.on_disk_bytes;
-    r.vertex_state_bytes += sm.resident_bytes;
-    r.peak_message_bytes = acct_.peak_buffered_bytes();
-    if (const std::uint64_t budget = acct_.spill_budget_bytes(); budget > 0) {
-      r.peak_message_bytes = std::min(r.peak_message_bytes, budget);
-    }
-    r.message_spill_bytes = acct_.spill_bytes();
-    r.message_churn_bytes = acct_.churn_bytes();
-    r.message_alloc_count = acct_.messages();
-    return r;
-  }
-
-  // --- Checkpointing (§3.6): lightweight saves masters only — no replicas,
-  // no messages (they are derived from the immutable view and regenerate on
-  // restore). Heavyweight additionally persists every replica slot, the
-  // Pregel-style full snapshot bench_recovery compares against. The snapshot
-  // is a per-machine frameset (checkpoint.hpp): each machine's frame holds
-  // its own workers' state, so localized recovery can reload just the failed
-  // machine's frame. ---
-  void checkpoint(ByteWriter& out,
-                  runtime::CheckpointMode mode = runtime::CheckpointMode::kLightweight)
-      const {
-    runtime::write_frameset(out, config_.topo.machines,
-                            [&](MachineId m, ByteWriter& frame) {
-                              checkpoint_machine(m, frame, mode);
-                            });
-  }
-
-  /// Throws SerializeError (recoverable) on truncated, corrupt, or
-  /// wrong-shape snapshots; callers discard the engine on failure.
-  void restore(ByteReader& in) {
-    runtime::read_frameset(in, config_.topo.machines,
-                           [&](MachineId m, ByteReader& frame) {
-                             restore_machine(m, frame);
-                           });
-    // Heavyweight snapshots already carry replica slots, but resyncing from
-    // masters is idempotent and also covers lightweight restores.
-    resync_replicas();
-  }
-
-  /// Arms a localized-recovery replay window on this incarnation (log-based
-  /// modes only): the fabric byte-verifies re-sent traffic against the log
-  /// and continues the crashed incarnation's wire digest, so finishing the
-  /// run proves replay fidelity. See runtime/recovery.hpp.
-  void arm_replay(Superstep resume_at, Superstep until, MachineId dead,
-                  std::uint64_t digest_seed) {
-    fabric_.begin_replay(resume_at, until, dead);
-    fabric_.seed_wire_digest(digest_seed);
-    vcheck_.note_replay_window(resume_at, until);
-  }
-
-  /// Arms periodic checkpointing through the shared driver hook.
-  void set_checkpoint_manager(runtime::CheckpointManager* manager) {
-    if (manager == nullptr) {
-      driver_.set_checkpointer(nullptr, {});
-      return;
-    }
-    driver_.set_checkpointer(
-        manager, [this, manager](ByteWriter& out) { checkpoint(out, manager->mode()); });
+    return this->with_store_and_messages(r, sm.resident_bytes, sm.on_disk_bytes);
   }
 
   /// Invariant check: every replica's shared data equals its master's
@@ -365,55 +324,7 @@ class Engine {
   double rebuild(const graph::GraphStore& new_graph, const partition::EdgeCutPartition& new_part) {
     CYCLOPS_CHECK(new_part.num_parts() == config_.topo.total_workers());
     CYCLOPS_CHECK(new_graph.num_vertices() == new_part.num_vertices());
-    Timer timer;
-    const VertexId old_n = graph_->num_vertices();
-
-    // Save master state keyed by global id.
-    std::vector<Value> old_values(old_n);
-    std::vector<Message> old_shared(old_n);
-    std::vector<std::uint8_t> old_flags(old_n, 0);
-    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
-      const WorkerLayout& wl = layout_.workers[w];
-      for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
-        const VertexId v = wl.masters[i];
-        old_values[v] = values_[w][i];
-        old_shared[v] = shared_data_[w][i];
-        old_flags[v] = static_cast<std::uint8_t>((cur_active_[w].test(i) ? 1 : 0) |
-                                                 (converged_[w].test(i) ? 2 : 0) |
-                                                 (next_active_[w].test(i) ? 4 : 0));
-      }
-    }
-
-    graph_ = &new_graph;
-    if (const std::uint64_t budget = graph_->message_budget_bytes(); budget > 0) {
-      acct_.arm_spill(budget, config_.cost.disk_byte_us);
-    }
-    layout_ = build_layout(new_graph, new_part);
-    init_state();
-
-    // Restore carried state over the fresh initialization; vertices that are
-    // new to the graph keep the program's init state (including its
-    // initially_active decision).
-    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
-      const WorkerLayout& wl = layout_.workers[w];
-      for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
-        const VertexId v = wl.masters[i];
-        if (v >= old_n) continue;
-        values_[w][i] = old_values[v];
-        shared_data_[w][i] = old_shared[v];
-        if (old_flags[v] & 1) {
-          cur_active_[w].set(i);
-        } else {
-          cur_active_[w].clear(i);
-        }
-        if (old_flags[v] & 2) converged_[w].set(i);
-        if (old_flags[v] & 4) next_active_[w].set(i);
-      }
-    }
-    resync_replicas();
-    const double elapsed = timer.elapsed_s();
-    ingress_s_ += elapsed;
-    return elapsed;
+    return this->timed_ingress([&] { retarget(new_graph, new_part); });
   }
 
   /// Rebuilds every replica from its master's shared data (used after
@@ -441,21 +352,70 @@ class Engine {
   };
   using Channel = runtime::SyncChannel<WireRecord>;
 
-  // Machine m's workers are the contiguous range [m*W, (m+1)*W): partitions
-  // are assigned to workers in machine-major order (Topology::machine_of).
-  [[nodiscard]] std::pair<WorkerId, WorkerId> machine_workers(MachineId m) const noexcept {
-    const WorkerId per = config_.topo.workers_per_machine;
-    return {m * per, (m + 1) * per};
+  void notify(const metrics::SuperstepStats& step) {
+    if (observer_) observer_(step, *this);
+  }
+
+  /// rebuild()'s body: swaps in the new graph and layout, carrying master
+  /// state across by vertex id.
+  void retarget(const graph::GraphStore& new_graph,
+                const partition::EdgeCutPartition& new_part) {
+    const VertexId old_n = graph_->num_vertices();
+
+    // Save master state keyed by global id.
+    std::vector<Value> old_values(old_n);
+    std::vector<Message> old_shared(old_n);
+    std::vector<std::uint8_t> old_flags(old_n, 0);
+    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
+      const WorkerLayout& wl = layout_.workers[w];
+      for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
+        const VertexId v = wl.masters[i];
+        old_values[v] = values_[w][i];
+        old_shared[v] = shared_data_[w][i];
+        old_flags[v] = static_cast<std::uint8_t>((cur_active_[w].test(i) ? 1 : 0) |
+                                                 (converged_[w].test(i) ? 2 : 0) |
+                                                 (next_active_[w].test(i) ? 4 : 0));
+      }
+    }
+
+    graph_ = &new_graph;
+    this->arm_store_budget(graph_->message_budget_bytes());
+    layout_ = build_layout(new_graph, new_part);
+    init_state();
+
+    // Restore carried state over the fresh initialization; vertices that are
+    // new to the graph keep the program's init state (including its
+    // initially_active decision).
+    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
+      const WorkerLayout& wl = layout_.workers[w];
+      for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
+        const VertexId v = wl.masters[i];
+        if (v >= old_n) continue;
+        values_[w][i] = old_values[v];
+        shared_data_[w][i] = old_shared[v];
+        if (old_flags[v] & 1) {
+          cur_active_[w].set(i);
+        } else {
+          cur_active_[w].clear(i);
+        }
+        if (old_flags[v] & 2) converged_[w].set(i);
+        if (old_flags[v] & 4) next_active_[w].set(i);
+      }
+    }
+    resync_replicas();
   }
 
   /// One machine's self-describing checkpoint frame: engine header +
-  /// superstep + that machine's workers' state.
+  /// superstep + that machine's workers' state. Lightweight saves master
+  /// values and master shared data; heavyweight additionally persists every
+  /// replica slot, the Pregel-style full snapshot bench_recovery compares
+  /// against.
   void checkpoint_machine(MachineId m, ByteWriter& out,
                           runtime::CheckpointMode mode) const {
     runtime::write_engine_header(out, runtime::EngineTag::kCyclops, mode,
                                  graph_->num_vertices(), graph_->num_edges());
-    out.write(driver_.superstep());
-    const auto [begin, end] = machine_workers(m);
+    out.write(this->superstep());
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const WorkerLayout& wl = layout_.workers[w];
       out.write_vector(values_[w]);
@@ -479,8 +439,8 @@ class Engine {
   void restore_machine(MachineId m, ByteReader& in) {
     const runtime::CheckpointMode mode = runtime::read_engine_header(
         in, runtime::EngineTag::kCyclops, graph_->num_vertices(), graph_->num_edges());
-    driver_.set_superstep(in.read<Superstep>());
-    const auto [begin, end] = machine_workers(m);
+    this->driver_.set_superstep(in.read<Superstep>());
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const WorkerLayout& wl = layout_.workers[w];
       values_[w] = in.read_vector<Value>();
@@ -509,6 +469,10 @@ class Engine {
       dirty_[w].clear_all();
     }
   }
+
+  /// Heavyweight snapshots already carry replica slots, but resyncing from
+  /// masters is idempotent and also covers lightweight restores.
+  void after_restore() { resync_replicas(); }
 
   void init_state() {
     const WorkerId workers = config_.topo.total_workers();
@@ -539,12 +503,6 @@ class Engine {
             program_.init_shared(wl.replica_globals[i], *graph_);
       }
     }
-    if (config_.track_redundant) {
-      last_hash_.resize(workers);
-      for (WorkerId w = 0; w < workers; ++w) {
-        last_hash_[w].assign(layout_.workers[w].num_masters(), 0);
-      }
-    }
     if constexpr (verify::kEnabled) {
       // (Re)declare the slot space: slots [0, num_masters) are owned masters,
       // the rest are read-only replicas owned by their home worker. rebuild()
@@ -568,22 +526,12 @@ class Engine {
     }
   }
 
-  static std::uint64_t payload_hash(const Message& m) noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&m);
-    for (std::size_t i = 0; i < sizeof(Message); ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-    return h == 0 ? 1 : h;
-  }
-
   bool run_superstep(metrics::SuperstepStats& step) {
     const WorkerId workers = config_.topo.total_workers();
     const unsigned T = std::max(1u, config_.compute_threads);
     const unsigned R = std::max(1u, config_.receiver_threads);
 
-    const sim::SoftwareModel& sw = config_.software;
+    const sim::SoftwareModel& sw = kSoftware;
 
     // --- CMP: active masters compute over the immutable view, chunked
     // across the worker's simulated compute threads. Deterministic time:
@@ -627,7 +575,6 @@ class Engine {
     // CyclopsMT parallelizes the send path with private per-thread out-queues
     // (fabric lanes), §5 — each compute thread ships the sync messages of its
     // own master chunk. ---
-    std::vector<std::uint64_t> redundant(static_cast<std::size_t>(workers) * T, 0);
     std::vector<std::uint64_t> emitted(static_cast<std::size_t>(workers) * T, 0);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kSend);
@@ -650,12 +597,6 @@ class Engine {
         for (std::size_t i = range.begin; i < range.end; ++i) {
           if (!dirty_[w].test(i)) continue;
           const Message& msg = pending_[w][i];
-          if (config_.track_redundant) {
-            const std::uint64_t h = payload_hash(msg);
-            const std::size_t reps = wl.rep_offsets[i + 1] - wl.rep_offsets[i];
-            if (last_hash_[w][i] == h) redundant[e] += reps;
-            last_hash_[w][i] = h;
-          }
           vcheck_.on_master_write(w, w, static_cast<std::uint32_t>(i), CYCLOPS_VLOC);
           shared_data_[w][i] = msg;  // local apply: visible next superstep
           for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
@@ -667,18 +608,15 @@ class Engine {
       });
     }
     for (WorkerId w = 0; w < workers; ++w) dirty_[w].clear_all();
-    for (auto r : redundant) step.redundant_messages += r;
     std::uint64_t emitted_max = 0;
     for (auto e : emitted) emitted_max = std::max(emitted_max, e);
 
     // Barrier participants: hierarchical (§5) synchronizes machines only
     // (threads wait on a local barrier); a flat barrier involves every
     // last-level execution unit.
-    const sim::ExchangeStats xstats = fabric_.exchange(
-        config_.hierarchical_barrier ? config_.topo.machines
-                                     : static_cast<std::size_t>(workers) * T);
-    acct_.note_exchange(xstats);
-    acct_.note_net(xstats.net);
+    this->exchange(step, config_.hierarchical_barrier
+                             ? config_.topo.machines
+                             : static_cast<std::size_t>(workers) * T);
 
     // --- Receive: lock-free in-place replica update + distributed
     // activation, chunked across the worker's simulated receiver threads.
@@ -715,9 +653,6 @@ class Engine {
          static_cast<double>(received_max) *
              (sw.msg_deliver_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us)) *
         1e-6;
-    step.net = xstats.net;
-    step.modeled_comm_s = xstats.modeled_comm_s;
-    step.modeled_barrier_s = xstats.modeled_barrier_s;
 
     // --- SYN: swap active sets, decide termination. ---
     verify::PhaseScope syn_scope(vcheck_, verify::Phase::kSync);
@@ -750,9 +685,6 @@ class Engine {
 
   const graph::GraphStore* graph_;
   Program program_;
-  Config config_;
-  ThreadPool pool_;
-  sim::Fabric fabric_;
   Layout layout_;
 
   std::vector<std::vector<Message>> shared_data_;  // [worker][slot]
@@ -762,12 +694,7 @@ class Engine {
   std::vector<DenseBitset> next_active_;
   std::vector<DenseBitset> dirty_;
   std::vector<DenseBitset> converged_;
-  std::vector<std::vector<std::uint64_t>> last_hash_;
 
-  runtime::SuperstepDriver driver_;
-  runtime::ExchangeAccounting acct_;
-  verify::EngineChecker vcheck_;
-  double ingress_s_ = 0;
   std::function<void(const metrics::SuperstepStats&, const Engine&)> observer_;
 };
 

@@ -20,50 +20,24 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cyclops/common/bitset.hpp"
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
-#include "cyclops/common/thread_pool.hpp"
-#include "cyclops/common/timer.hpp"
 #include "cyclops/gas/gas_layout.hpp"
 #include "cyclops/metrics/memory_model.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
-#include "cyclops/runtime/checkpoint.hpp"
-#include "cyclops/runtime/exchange_accounting.hpp"
-#include "cyclops/runtime/superstep_driver.hpp"
+#include "cyclops/runtime/engine_shell.hpp"
 #include "cyclops/runtime/sync_channel.hpp"
-#include "cyclops/sim/fabric.hpp"
-#include "cyclops/sim/fault.hpp"
-#include "cyclops/sim/message_log.hpp"
-#include "cyclops/sim/sched.hpp"
 #include "cyclops/sim/software_model.hpp"
 #include "cyclops/verify/verify.hpp"
 
 namespace cyclops::gas {
 
-struct Config {
-  sim::Topology topo;
-  sim::CostModel cost = sim::CostModel::boost_cpp();
-  sim::SoftwareModel software = sim::SoftwareModel::powergraph_cpp();
-  std::size_t pool_threads = 1;
+struct Config : runtime::EngineConfig {
   Superstep max_iterations = 100;
-
-  /// Fault schedule shared across engine incarnations of a recovering run
-  /// (see sim/fault.hpp); null runs fault-free.
-  std::shared_ptr<sim::FaultInjector> faults;
-
-  /// Message log for log-based localized recovery, shared across engine
-  /// incarnations like the injector (see sim/message_log.hpp); null disables
-  /// logging. Requires `faults` — the log keys on the injector's clock.
-  std::shared_ptr<sim::MessageLog> message_log;
-
-  /// Seeded schedule explorer for the pool (see sim/sched.hpp); null keeps
-  /// the native static schedule.
-  std::shared_ptr<sim::ScheduleExplorer> schedule;
 
   [[nodiscard]] static Config workers(WorkerId w) {
     Config c;
@@ -73,56 +47,43 @@ struct Config {
 };
 
 template <typename Program>
-class Engine {
+class Engine : public runtime::EngineShell<Engine<Program>, Config> {
+  using Shell = runtime::EngineShell<Engine<Program>, Config>;
+  friend Shell;
+  using Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+
  public:
   using Value = typename Program::Value;
   using Gather = typename Program::Gather;
   static_assert(std::is_trivially_copyable_v<Value>);
   static_assert(std::is_trivially_copyable_v<Gather>);
 
+  /// At every iteration boundary mirror values equal their master's
+  /// (exchange 3 pushes applied values), so the lightweight snapshot saves
+  /// masters only and restore regenerates mirrors.
+  static constexpr runtime::CheckpointMode kCheckpointMode =
+      runtime::CheckpointMode::kLightweight;
+  static constexpr sim::CostModel kCost = sim::CostModel::boost_cpp();
+  static constexpr sim::SoftwareModel kSoftware = sim::SoftwareModel::powergraph_cpp();
+  /// The bidirectional master<->mirror traffic is the transient allocation.
+  static constexpr bool kWireIsChurn = true;
+
   Engine(const graph::GraphStore& g, const partition::VertexCutPartition& part,
          Program program, Config config)
-      : graph_(&g),
-        program_(std::move(program)),
-        config_(config),
-        pool_(config.pool_threads),
-        fabric_(config.topo, config.cost) {
-    CYCLOPS_CHECK(part.num_parts() == config.topo.total_workers());
-    if (config_.faults) {
-      fabric_.install_faults(config_.faults.get());
-      driver_.set_fault_injector(config_.faults.get());
-    }
-    if (config_.message_log) fabric_.install_log(config_.message_log.get());
-    if (config_.schedule) pool_.set_task_order(config_.schedule.get());
-    driver_.set_checker(&vcheck_);
-    if (const std::uint64_t budget = graph_->message_budget_bytes(); budget > 0) {
-      acct_.arm_spill(budget, config_.cost.disk_byte_us);
-    }
-    Timer ingress;
-    layout_ = build_gas_layout(g, part);
-    init_state();
-    ingress_s_ = ingress.elapsed_s();
-  }
-
-  metrics::RunStats run() {
-    metrics::RunStats stats = driver_.run(
-        config_.max_iterations, acct_,
-        [this](metrics::SuperstepStats& step) { return run_iteration(step); },
-        [this](const metrics::SuperstepStats& step) {
-          if (observer_) observer_(step);
-        });
-    stats.ingress_s = ingress_s_;
-    return stats;
+      : Shell(std::move(config), g.message_budget_bytes()),
+        graph_(&g),
+        program_(std::move(program)) {
+    CYCLOPS_CHECK(part.num_parts() == config_.topo.total_workers());
+    this->timed_ingress([&] {
+      layout_ = build_gas_layout(g, part);
+      init_state();
+    });
   }
 
   /// Per-iteration observer, same contract as the other engines.
   void set_observer(std::function<void(const metrics::SuperstepStats&)> fn) {
     observer_ = std::move(fn);
   }
-
-  /// The engine's invariant checker (no-op object unless -DCYCLOPS_VERIFY).
-  [[nodiscard]] verify::EngineChecker& verifier() noexcept { return vcheck_; }
-  [[nodiscard]] const verify::EngineChecker& verifier() const noexcept { return vcheck_; }
 
   /// Memory behaviour in Table 2 terms: every mirror copy is replicated
   /// vertex state; churn is the bidirectional master<->mirror traffic.
@@ -139,17 +100,7 @@ class Engine {
       }
     }
     const graph::StoreMemory sm = graph_->memory();
-    r.store_resident_bytes = sm.resident_bytes;
-    r.store_on_disk_bytes = sm.on_disk_bytes;
-    r.vertex_state_bytes += sm.resident_bytes;
-    r.peak_message_bytes = acct_.peak_buffered_bytes();
-    if (const std::uint64_t budget = acct_.spill_budget_bytes(); budget > 0) {
-      r.peak_message_bytes = std::min(r.peak_message_bytes, budget);
-    }
-    r.message_spill_bytes = acct_.spill_bytes();
-    r.message_churn_bytes = acct_.churn_bytes();
-    r.message_alloc_count = acct_.messages();
-    return r;
+    return this->with_store_and_messages(r, sm.resident_bytes, sm.on_disk_bytes);
   }
 
   /// Master values gathered into one globally-indexed vector.
@@ -163,44 +114,6 @@ class Engine {
   }
 
   [[nodiscard]] const GasLayout& layout() const noexcept { return layout_; }
-  [[nodiscard]] const sim::Fabric& fabric() const noexcept { return fabric_; }
-  [[nodiscard]] Superstep superstep() const noexcept { return driver_.superstep(); }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
-  // --- Checkpoint/restore parity with the BSP and Cyclops engines. At every
-  // iteration boundary mirror values equal their master's (exchange 3 pushes
-  // applied values), so the lightweight snapshot saves masters only and
-  // restore regenerates mirrors; heavyweight persists every copy. The
-  // snapshot is a per-machine frameset (checkpoint.hpp): each frame holds
-  // the copies hosted on that machine's workers, so localized recovery
-  // reloads one machine's frame. ---
-  void checkpoint(ByteWriter& out,
-                  runtime::CheckpointMode mode = runtime::CheckpointMode::kLightweight)
-      const {
-    runtime::write_frameset(out, config_.topo.machines,
-                            [&](MachineId m, ByteWriter& frame) {
-                              checkpoint_machine(m, frame, mode);
-                            });
-  }
-
-  /// Throws SerializeError (recoverable) on truncated, corrupt, or
-  /// wrong-shape snapshots; callers discard the engine on failure.
-  void restore(ByteReader& in) {
-    runtime::read_frameset(in, config_.topo.machines,
-                           [&](MachineId m, ByteReader& frame) {
-                             restore_machine(m, frame);
-                           });
-    resync_mirrors();
-  }
-
-  /// Arms a localized-recovery replay window (see runtime/recovery.hpp and
-  /// core::Engine::arm_replay — same contract).
-  void arm_replay(Superstep resume_at, Superstep until, MachineId dead,
-                  std::uint64_t digest_seed) {
-    fabric_.begin_replay(resume_at, until, dead);
-    fabric_.seed_wire_digest(digest_seed);
-    vcheck_.note_replay_window(resume_at, until);
-  }
 
   /// Rebuilds every mirror's value from its master (mirrors are derived
   /// state at iteration boundaries and are not checkpointed in lightweight
@@ -221,29 +134,19 @@ class Engine {
     }
   }
 
-  /// Arms periodic checkpointing through the shared driver hook.
-  void set_checkpoint_manager(runtime::CheckpointManager* manager) {
-    if (manager == nullptr) {
-      driver_.set_checkpointer(nullptr, {});
-      return;
-    }
-    driver_.set_checkpointer(
-        manager, [this, manager](ByteWriter& out) { checkpoint(out, manager->mode()); });
-  }
-
  private:
-  // Machine m's workers are the contiguous range [m*W, (m+1)*W).
-  [[nodiscard]] std::pair<WorkerId, WorkerId> machine_workers(MachineId m) const noexcept {
-    const WorkerId per = config_.topo.workers_per_machine;
-    return {m * per, (m + 1) * per};
+  void notify(const metrics::SuperstepStats& step) {
+    if (observer_) observer_(step);
   }
 
+  /// One machine's frame: the copies hosted on its workers — masters only in
+  /// lightweight mode, every copy in heavyweight — plus master activity.
   void checkpoint_machine(MachineId m, ByteWriter& out,
                           runtime::CheckpointMode mode) const {
     runtime::write_engine_header(out, runtime::EngineTag::kGas, mode,
                                  graph_->num_vertices(), graph_->num_edges());
-    out.write(driver_.superstep());
-    const auto [begin, end] = machine_workers(m);
+    out.write(this->superstep());
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const GasWorkerLayout& wl = layout_.workers[w];
       if (mode == runtime::CheckpointMode::kHeavyweight) {
@@ -268,8 +171,8 @@ class Engine {
   void restore_machine(MachineId m, ByteReader& in) {
     const runtime::CheckpointMode mode = runtime::read_engine_header(
         in, runtime::EngineTag::kGas, graph_->num_vertices(), graph_->num_edges());
-    driver_.set_superstep(in.read<Superstep>());
-    const auto [begin, end] = machine_workers(m);
+    this->driver_.set_superstep(in.read<Superstep>());
+    const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const GasWorkerLayout& wl = layout_.workers[w];
       std::size_t num_masters = 0;
@@ -303,6 +206,8 @@ class Engine {
     }
   }
 
+  void after_restore() { resync_mirrors(); }
+
   struct ReqRecord {
     Copy copy;
   };
@@ -322,7 +227,6 @@ class Engine {
     const WorkerId workers = config_.topo.total_workers();
     values_.resize(workers);
     partial_.resize(workers);
-    gathered_.resize(workers);
     active_copies_.resize(workers);
     activated_copies_.resize(workers);
     next_active_masters_.resize(workers);
@@ -332,7 +236,6 @@ class Engine {
       values_[w].resize(wl.num_copies());
       old_values_[w].resize(wl.num_copies());
       partial_[w].resize(wl.num_copies());
-      gathered_[w].resize(wl.num_copies());
       active_copies_[w].resize(wl.num_copies());
       activated_copies_[w].resize(wl.num_copies());
       next_active_masters_[w].resize(wl.num_copies());
@@ -366,9 +269,10 @@ class Engine {
     }
   }
 
-  bool run_iteration(metrics::SuperstepStats& step) {
+  /// One GAS iteration: four master<->mirror exchanges.
+  bool run_superstep(metrics::SuperstepStats& step) {
     const WorkerId workers = config_.topo.total_workers();
-    const sim::SoftwareModel& sw = config_.software;
+    const sim::SoftwareModel& sw = kSoftware;
     // Deterministic per-worker work accounting (see sim/software_model.hpp):
     // each lambda adds the operations it performed for its worker; phase time
     // is the max across workers.
@@ -406,7 +310,7 @@ class Engine {
         });
       });
     }
-    accumulate_exchange(step, workers);
+    this->exchange(step, workers);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
@@ -434,7 +338,6 @@ class Engine {
                 acc, program_.gather(values_[w][c], values_[w][edge.src], edge.weight));
           }
           partial_[w][c] = acc;
-          gathered_[w][c] = 1;
           cmp_us[w] += static_cast<double>(wl.in_offsets[c + 1] - wl.in_offsets[c]) *
                        sw.edge_op_us * sim::edge_op_weight<Program>();
         });
@@ -454,7 +357,7 @@ class Engine {
         });
       });
     }
-    accumulate_exchange(step, workers);
+    this->exchange(step, workers);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
@@ -499,7 +402,7 @@ class Engine {
         });
       });
     }
-    accumulate_exchange(step, workers);
+    this->exchange(step, workers);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
@@ -555,7 +458,7 @@ class Engine {
         });
       });
     }
-    accumulate_exchange(step, workers);
+    this->exchange(step, workers);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
@@ -580,34 +483,17 @@ class Engine {
     return !any_next;
   }
 
-  void accumulate_exchange(metrics::SuperstepStats& step, WorkerId workers) {
-    const sim::ExchangeStats x = fabric_.exchange(workers);
-    step.net += x.net;
-    step.modeled_comm_s += x.modeled_comm_s;
-    step.modeled_barrier_s += x.modeled_barrier_s;
-    acct_.note_exchange(x);
-    acct_.note_net(x.net);
-  }
-
   const graph::GraphStore* graph_;
   Program program_;
-  Config config_;
-  ThreadPool pool_;
-  sim::Fabric fabric_;
   GasLayout layout_;
 
   std::vector<std::vector<Value>> values_;      // [worker][copy]
   std::vector<std::vector<Value>> old_values_;  // previous value per copy
   std::vector<std::vector<Gather>> partial_;
-  std::vector<std::vector<std::uint8_t>> gathered_;
   std::vector<DenseBitset> active_copies_;
   std::vector<DenseBitset> activated_copies_;
   std::vector<DenseBitset> next_active_masters_;
 
-  runtime::SuperstepDriver driver_;
-  runtime::ExchangeAccounting acct_;
-  verify::EngineChecker vcheck_;
-  double ingress_s_ = 0;
   std::function<void(const metrics::SuperstepStats&)> observer_;
 };
 

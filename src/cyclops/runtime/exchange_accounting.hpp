@@ -57,10 +57,6 @@ class ExchangeAccounting {
   void add_messages(std::uint64_t n) noexcept {
     messages_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Messages staged by compute before combining (combiner effectiveness).
-  void add_staged(std::uint64_t n) noexcept {
-    staged_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] std::uint64_t peak_buffered_bytes() const noexcept {
     return peak_buffered_bytes_;
@@ -70,9 +66,6 @@ class ExchangeAccounting {
   }
   [[nodiscard]] std::uint64_t messages() const noexcept {
     return messages_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t staged_messages() const noexcept {
-    return staged_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t spill_budget_bytes() const noexcept {
     return spill_budget_bytes_;
@@ -90,7 +83,6 @@ class ExchangeAccounting {
   double spill_s_ = 0.0;
   std::atomic<std::uint64_t> churn_bytes_{0};
   std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> staged_{0};
 };
 
 }  // namespace cyclops::runtime

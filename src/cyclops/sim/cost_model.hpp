@@ -27,10 +27,10 @@ struct CostModel {
   // Table 3 is measured, not modeled — see bench_table3_msg_micro.
 
   /// Hama-like stack: per-message Java serialization over Hadoop RPC.
-  [[nodiscard]] static CostModel hama_java() noexcept { return CostModel{}; }
+  [[nodiscard]] static constexpr CostModel hama_java() noexcept { return CostModel{}; }
 
   /// PowerGraph-grade Boost C++ RPC.
-  [[nodiscard]] static CostModel boost_cpp() noexcept {
+  [[nodiscard]] static constexpr CostModel boost_cpp() noexcept {
     CostModel m;
     m.per_remote_msg_us = 0.1;
     return m;
@@ -38,14 +38,14 @@ struct CostModel {
 
   /// Cyclops replica-sync messaging: same Hadoop RPC stack as Hama, but
   /// payloads are bundled primitive arrays updated in place.
-  [[nodiscard]] static CostModel cyclops_sync() noexcept {
+  [[nodiscard]] static constexpr CostModel cyclops_sync() noexcept {
     CostModel m;
     m.per_remote_msg_us = 0.15;
     return m;
   }
 
   /// Free communication — isolates pure computation effects in ablations.
-  [[nodiscard]] static CostModel zero() noexcept {
+  [[nodiscard]] static constexpr CostModel zero() noexcept {
     return CostModel{0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   }
 

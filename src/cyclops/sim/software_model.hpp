@@ -29,12 +29,12 @@ struct SoftwareModel {
   /// Hama: per-message Java object serialization, locked global-queue
   /// enqueue, and a separate parse phase (Table 3: ~2 us of software per
   /// message end-to-end).
-  [[nodiscard]] static SoftwareModel hama_java() noexcept { return SoftwareModel{}; }
+  [[nodiscard]] static constexpr SoftwareModel hama_java() noexcept { return SoftwareModel{}; }
 
   /// Cyclops: same JVM compute costs, but bundled primitive-array sync
   /// messages, no parse phase, and lock-free direct replica updates
   /// (Table 3: ~0.2 us per message).
-  [[nodiscard]] static SoftwareModel cyclops_java() noexcept {
+  [[nodiscard]] static constexpr SoftwareModel cyclops_java() noexcept {
     SoftwareModel m;
     // Compute rates match Hama's — same JVM, same compute bodies (§6.12's
     // "language gap" against PowerGraph applies to Cyclops too).
@@ -48,7 +48,7 @@ struct SoftwareModel {
   /// PowerGraph: C++ end to end, and multithreaded within each machine-level
   /// worker (the 8-way intra-machine parallelism is folded into the rates,
   /// since the GAS engine models one worker per machine).
-  [[nodiscard]] static SoftwareModel powergraph_cpp() noexcept {
+  [[nodiscard]] static constexpr SoftwareModel powergraph_cpp() noexcept {
     SoftwareModel m;
     m.vertex_op_us = 0.05;
     m.edge_op_us = 0.025;

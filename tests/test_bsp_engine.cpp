@@ -230,7 +230,7 @@ TEST(BspEngine, TracksLockAcquisitionsAndChurn) {
   const auto stats = engine.run();
   // Every delivered message costs one global-queue lock acquisition.
   EXPECT_EQ(engine.lock_acquisitions(), stats.net_totals().total_messages());
-  EXPECT_GT(engine.mailbox_churn_bytes(), 0u);
+  EXPECT_GT(engine.memory_report().message_churn_bytes, 0u);
 }
 
 TEST(BspEngine, RedundantMessageTrackingFindsConvergedSenders) {

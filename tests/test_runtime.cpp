@@ -181,10 +181,8 @@ TEST(ExchangeAccounting, TracksPeakChurnAndMessages) {
 
   acct.add_churn_bytes(5);
   acct.add_messages(2);
-  acct.add_staged(9);
   EXPECT_EQ(acct.churn_bytes(), 20u);
   EXPECT_EQ(acct.messages(), 5u);
-  EXPECT_EQ(acct.staged_messages(), 9u);
 }
 
 // --- Engine equivalence: all three execution models share the runtime and

@@ -419,28 +419,6 @@ int race_sweep(const Options& o, const std::string& label, RunOne&& run_one) {
   return (bad_seeds > 0 || diverged) ? 1 : 0;
 }
 
-/// Runs an engine factory through the automated checkpoint/recovery runtime
-/// and prints the recovery summary next to the usual run summary. `log` is
-/// the shared message log for log-based modes (the same object the factory's
-/// Config installs into the fabric); nullptr for rollback.
-template <typename MakeEngine>
-int run_fault_tolerant(const Options& o, const std::string& label,
-                       runtime::CheckpointMode natural_mode,
-                       sim::FaultInjector* faults, sim::MessageLog* log,
-                       MakeEngine&& make_engine) {
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = o.checkpoint_every;
-  opts.mode = o.mode_or(natural_mode);
-  opts.recovery = o.recovery_mode();
-  opts.log = log;
-  auto outcome =
-      runtime::run_with_recovery(std::forward<MakeEngine>(make_engine), opts, faults);
-  std::printf("%s\n", metrics::run_summary(label, outcome.run).c_str());
-  std::printf("%s\n", metrics::recovery_summary(outcome.recovery).c_str());
-  emit_csv(o, outcome.run);
-  return 0;
-}
-
 /// Shared message log for log-based recovery modes; null for rollback (no
 /// logging overhead when nothing will replay from it).
 std::shared_ptr<sim::MessageLog> make_message_log(const Options& o) {
@@ -448,19 +426,21 @@ std::shared_ptr<sim::MessageLog> make_message_log(const Options& o) {
   return std::make_shared<sim::MessageLog>(o.log_store_kind(), o.store.spill_dir);
 }
 
-template <typename Prog>
-int run_bsp(const Options& o, const graph::GraphStore& g, Prog prog) {
-  bsp::Config cfg;
-  cfg.topo = sim::Topology{o.machines, o.workers / o.machines};
-  cfg.max_supersteps = o.max_supersteps;
-  const auto part = make_partition(o, g);
+/// Runs one engine the way the flags ask: a race sweep over schedule seeds,
+/// a fault-tolerant run through the automated checkpoint/recovery runtime
+/// (the engine's natural checkpoint mode unless --checkpoint-mode says
+/// otherwise), or a plain run. `extra(engine, stats)` prints the engine's
+/// own lines after a plain run's summary.
+template <typename Engine, typename Part, typename Prog, typename Config, typename Extra>
+int run_engine(const Options& o, const std::string& label, const graph::GraphStore& g,
+               const Part& part, const Prog& prog, Config cfg, Extra&& extra) {
   if (o.race_seeds > 0) {
-    return race_sweep(o, "hama/" + o.algo,
+    return race_sweep(o, label,
                       [&](std::shared_ptr<sim::ScheduleExplorer> sched,
                           std::vector<std::string>& reports) {
-                        bsp::Config rcfg = cfg;
+                        Config rcfg = cfg;
                         rcfg.schedule = std::move(sched);
-                        bsp::Engine<Prog> engine(g, part, prog, rcfg);
+                        Engine engine(g, part, prog, rcfg);
                         engine.verifier().racer().set_handler(
                             [&reports](const verify::race::Report& r) {
                               reports.push_back(r.describe());
@@ -473,18 +453,39 @@ int run_bsp(const Options& o, const graph::GraphStore& g, Prog prog) {
   if (o.fault_tolerant()) {
     cfg.faults = std::make_shared<sim::FaultInjector>(o.fault_plan());
     cfg.message_log = make_message_log(o);
-    return run_fault_tolerant(
-        o, "hama/" + o.algo, runtime::CheckpointMode::kHeavyweight, cfg.faults.get(),
-        cfg.message_log.get(),
-        [&] { return std::make_unique<bsp::Engine<Prog>>(g, part, prog, cfg); });
+    runtime::RecoveryOptions opts;
+    opts.checkpoint_every = o.checkpoint_every;
+    opts.mode = o.mode_or(Engine::kCheckpointMode);
+    opts.recovery = o.recovery_mode();
+    opts.log = cfg.message_log.get();
+    auto outcome = runtime::run_with_recovery(
+        [&] { return std::make_unique<Engine>(g, part, prog, cfg); }, opts, cfg.faults.get());
+    std::printf("%s\n", metrics::run_summary(label, outcome.run).c_str());
+    std::printf("%s\n", metrics::recovery_summary(outcome.recovery).c_str());
+    emit_csv(o, outcome.run);
+    return 0;
   }
-  bsp::Engine<Prog> engine(g, part, prog, cfg);
+  Engine engine(g, part, prog, cfg);
   const auto stats = engine.run();
-  std::printf("%s\n", metrics::run_summary("hama/" + o.algo, stats).c_str());
+  std::printf("%s\n", metrics::run_summary(label, stats).c_str());
   if (o.verify_report) std::printf("%s\n", engine.verifier().summary().c_str());
-  std::printf("%s\n", metrics::phase_breakdown_row("breakdown", stats, true).c_str());
+  extra(engine, stats);
   emit_csv(o, stats);
   return 0;
+}
+
+void print_breakdown(const metrics::RunStats& stats) {
+  std::printf("%s\n", metrics::phase_breakdown_row("breakdown", stats, true).c_str());
+}
+
+template <typename Prog>
+int run_bsp(const Options& o, const graph::GraphStore& g, Prog prog) {
+  bsp::Config cfg;
+  cfg.topo = sim::Topology{o.machines, o.workers / o.machines};
+  cfg.max_supersteps = o.max_supersteps;
+  return run_engine<bsp::Engine<Prog>>(
+      o, "hama/" + o.algo, g, make_partition(o, g), prog, cfg,
+      [](const auto&, const metrics::RunStats& stats) { print_breakdown(stats); });
 }
 
 template <typename Prog>
@@ -492,44 +493,15 @@ int run_cyclops(const Options& o, const graph::GraphStore& g, Prog prog, bool mt
   core::Config cfg = mt ? core::Config::cyclops_mt(o.machines, o.threads, o.receivers)
                         : core::Config::cyclops(o.machines, o.workers / o.machines);
   cfg.max_supersteps = o.max_supersteps;
-  const WorkerId parts = cfg.topo.total_workers();
   Options po = o;
-  po.workers = parts;
-  const std::string label = (mt ? "cyclops-mt/" : "cyclops/") + o.algo;
-  const auto part = make_partition(po, g);
-  if (o.race_seeds > 0) {
-    return race_sweep(o, label,
-                      [&](std::shared_ptr<sim::ScheduleExplorer> sched,
-                          std::vector<std::string>& reports) {
-                        core::Config rcfg = cfg;
-                        rcfg.schedule = std::move(sched);
-                        core::Engine<Prog> engine(g, part, prog, rcfg);
-                        engine.verifier().racer().set_handler(
-                            [&reports](const verify::race::Report& r) {
-                              reports.push_back(r.describe());
-                            });
-                        engine.run();
-                        return SweepRun{engine.fabric().wire_digest(),
-                                        engine.verifier().racer().accesses_checked()};
-                      });
-  }
-  if (o.fault_tolerant()) {
-    cfg.faults = std::make_shared<sim::FaultInjector>(o.fault_plan());
-    cfg.message_log = make_message_log(o);
-    return run_fault_tolerant(
-        o, label, runtime::CheckpointMode::kLightweight, cfg.faults.get(),
-        cfg.message_log.get(),
-        [&] { return std::make_unique<core::Engine<Prog>>(g, part, prog, cfg); });
-  }
-  core::Engine<Prog> engine(g, part, prog, cfg);
-  const auto stats = engine.run();
-  std::printf("%s\n", metrics::run_summary(label, stats).c_str());
-  if (o.verify_report) std::printf("%s\n", engine.verifier().summary().c_str());
-  std::printf("replication factor: %.2f, ingress %.3fs\n",
-              engine.layout().replication_factor(g.num_vertices()), stats.ingress_s);
-  std::printf("%s\n", metrics::phase_breakdown_row("breakdown", stats, true).c_str());
-  emit_csv(o, stats);
-  return 0;
+  po.workers = cfg.topo.total_workers();
+  return run_engine<core::Engine<Prog>>(
+      o, (mt ? "cyclops-mt/" : "cyclops/") + o.algo, g, make_partition(po, g), prog, cfg,
+      [&g](const core::Engine<Prog>& engine, const metrics::RunStats& stats) {
+        std::printf("replication factor: %.2f, ingress %.3fs\n",
+                    engine.layout().replication_factor(g.num_vertices()), stats.ingress_s);
+        print_breakdown(stats);
+      });
 }
 
 template <typename Prog>
@@ -537,37 +509,9 @@ int run_gas(const Options& o, const graph::GraphStore& g, Prog prog) {
   gas::Config cfg;
   cfg.topo = sim::Topology{o.machines, 1};
   cfg.max_iterations = o.max_supersteps;
-  const auto cut = partition::RandomVertexCut{}.partition(g, o.machines);
-  if (o.race_seeds > 0) {
-    return race_sweep(o, "powergraph/" + o.algo,
-                      [&](std::shared_ptr<sim::ScheduleExplorer> sched,
-                          std::vector<std::string>& reports) {
-                        gas::Config rcfg = cfg;
-                        rcfg.schedule = std::move(sched);
-                        gas::Engine<Prog> engine(g, cut, prog, rcfg);
-                        engine.verifier().racer().set_handler(
-                            [&reports](const verify::race::Report& r) {
-                              reports.push_back(r.describe());
-                            });
-                        engine.run();
-                        return SweepRun{engine.fabric().wire_digest(),
-                                        engine.verifier().racer().accesses_checked()};
-                      });
-  }
-  if (o.fault_tolerant()) {
-    cfg.faults = std::make_shared<sim::FaultInjector>(o.fault_plan());
-    cfg.message_log = make_message_log(o);
-    return run_fault_tolerant(
-        o, "powergraph/" + o.algo, runtime::CheckpointMode::kLightweight,
-        cfg.faults.get(), cfg.message_log.get(),
-        [&] { return std::make_unique<gas::Engine<Prog>>(g, cut, prog, cfg); });
-  }
-  gas::Engine<Prog> engine(g, cut, prog, cfg);
-  const auto stats = engine.run();
-  std::printf("%s\n", metrics::run_summary("powergraph/" + o.algo, stats).c_str());
-  if (o.verify_report) std::printf("%s\n", engine.verifier().summary().c_str());
-  emit_csv(o, stats);
-  return 0;
+  return run_engine<gas::Engine<Prog>>(
+      o, "powergraph/" + o.algo, g, partition::RandomVertexCut{}.partition(g, o.machines),
+      prog, cfg, [](const auto&, const auto&) {});
 }
 
 // Replays a scripted multi-tenant workload against the service: `job` lines
