@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "cyclops/graph/csr.hpp"
 #include "cyclops/algorithms/als.hpp"
@@ -41,16 +43,22 @@ partition::EdgeCutPartition make_partition(const graph::Csr& g, bool multilevel,
 
 // ---------- PageRank across all engines ----------
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out and zeroed: implicit padding holds stack garbage and would
+// give the tests a different name on every run.
 struct PrCase {
   WorkerId workers;
   bool multilevel;
+  std::uint8_t pad[3] = {};
   unsigned mt_threads;  // 0 = plain Cyclops
 };
+static_assert(std::has_unique_object_representations_v<PrCase>,
+              "PrCase must have no implicit padding");
 
 class PageRankAllEngines : public ::testing::TestWithParam<PrCase> {};
 
 TEST_P(PageRankAllEngines, AgreeWithReference) {
-  const auto [workers, multilevel, mt_threads] = GetParam();
+  const auto [workers, multilevel, pad, mt_threads] = GetParam();
   const graph::EdgeList edges = graph::gen::rmat(9, 3500, 2014);
   const graph::Csr g = graph::Csr::build(edges);
   const auto reference = algo::pagerank_reference(g);
@@ -94,11 +102,17 @@ TEST_P(PageRankAllEngines, AgreeWithReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, PageRankAllEngines,
-                         ::testing::Values(PrCase{1, false, 0}, PrCase{2, false, 0},
-                                           PrCase{4, false, 0}, PrCase{4, true, 0},
-                                           PrCase{6, false, 4}, PrCase{6, true, 8},
-                                           PrCase{12, false, 0}, PrCase{16, true, 2}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PageRankAllEngines,
+    ::testing::Values(
+        PrCase{.workers = 1, .multilevel = false, .mt_threads = 0},
+        PrCase{.workers = 2, .multilevel = false, .mt_threads = 0},
+        PrCase{.workers = 4, .multilevel = false, .mt_threads = 0},
+        PrCase{.workers = 4, .multilevel = true, .mt_threads = 0},
+        PrCase{.workers = 6, .multilevel = false, .mt_threads = 4},
+        PrCase{.workers = 6, .multilevel = true, .mt_threads = 8},
+        PrCase{.workers = 12, .multilevel = false, .mt_threads = 0},
+        PrCase{.workers = 16, .multilevel = true, .mt_threads = 2}));
 
 // ---------- SSSP: BSP vs Cyclops exact agreement ----------
 

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "cyclops/graph/csr.hpp"
 #include "cyclops/core/layout.hpp"
@@ -108,12 +109,19 @@ TEST(LayoutFigure6, SyncTargetsInverted) {
 
 // ---- Property tests on random graphs. ----
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out and zeroed: implicit padding holds stack garbage and would
+// give the tests a different name on every run.
 struct LayoutCase {
   unsigned scale;
+  std::uint32_t pad0 = 0;
   std::size_t edges;
   WorkerId parts;
+  std::uint32_t pad1 = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<LayoutCase>,
+              "LayoutCase must have no implicit padding");
 
 class LayoutProperties : public ::testing::TestWithParam<LayoutCase> {
  protected:
@@ -215,9 +223,12 @@ TEST_P(LayoutProperties, LocalOutEdgesPartitionOutEdges) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LayoutProperties,
-    ::testing::Values(LayoutCase{7, 400, 2, 1}, LayoutCase{8, 1200, 4, 2},
-                      LayoutCase{9, 3000, 7, 3}, LayoutCase{8, 1000, 16, 4},
-                      LayoutCase{6, 150, 3, 5}));
+    ::testing::Values(
+        LayoutCase{.scale = 7, .edges = 400, .parts = 2, .seed = 1},
+        LayoutCase{.scale = 8, .edges = 1200, .parts = 4, .seed = 2},
+        LayoutCase{.scale = 9, .edges = 3000, .parts = 7, .seed = 3},
+        LayoutCase{.scale = 8, .edges = 1000, .parts = 16, .seed = 4},
+        LayoutCase{.scale = 6, .edges = 150, .parts = 3, .seed = 5}));
 
 TEST(Layout, IngressBreakdownPopulated) {
   Figure6 f;
