@@ -28,8 +28,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,7 @@
 #include "cyclops/ingest/ingestor.hpp"
 #include "cyclops/ingest/trace.hpp"
 #include "cyclops/service/snapshot.hpp"
+#include "json.hpp"
 
 namespace {
 
@@ -216,31 +216,15 @@ IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
 
 // ------------------------------------------------------------------- gate
 
-double baseline_field(const std::string& json, const std::string& row_key,
-                      const std::string& field) {
-  const std::size_t at = json.find(row_key);
-  if (at == std::string::npos) return 0;
-  const std::string f = "\"" + field + "\": ";
-  const std::size_t pos = json.find(f, at);
-  if (pos == std::string::npos) return 0;
-  return std::strtod(json.c_str() + pos + f.size(), nullptr);
-}
-
 int apply_gate(const std::string& baseline_path, const std::vector<PublicationRow>& pub,
                const std::vector<IncrementalRow>& inc) {
-  std::ifstream in(baseline_path);
-  if (!in.good()) {
-    std::fprintf(stderr, "gate: cannot read baseline %s\n", baseline_path.c_str());
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
+  const std::optional<std::string> json = bench::read_baseline(baseline_path);
+  if (!json) return 1;
   int failures = 0;
 
   for (const PublicationRow& r : pub) {
     const double base =
-        baseline_field(json, "\"mode\": \"" + r.mode + "\"", "mutations_per_sec");
+        bench::baseline_value(*json, {{"mode", r.mode}}, "mutations_per_sec");
     if (base <= 0) {
       std::fprintf(stderr, "gate: no baseline row for mode %s — skipping\n",
                    r.mode.c_str());
@@ -253,14 +237,13 @@ int apply_gate(const std::string& baseline_path, const std::vector<PublicationRo
     if (!ok) ++failures;
   }
   for (const IncrementalRow& r : inc) {
-    const std::string key = "\"algo\": \"" + r.algo + "\"";
     struct Check {
       const char* field;
       double current;
     } checks[] = {{"superstep_ratio", r.superstep_ratio()},
                   {"modeled_time_ratio", r.modeled_time_ratio()}};
     for (const Check& c : checks) {
-      const double base = baseline_field(json, key, c.field);
+      const double base = bench::baseline_value(*json, {{"algo", r.algo}}, c.field);
       if (base <= 0) {
         std::fprintf(stderr, "gate: no baseline %s for %s — skipping\n", c.field,
                      r.algo.c_str());
@@ -280,53 +263,30 @@ int apply_gate(const std::string& baseline_path, const std::vector<PublicationRo
 
 void emit_json(bool smoke, const std::vector<PublicationRow>& pub,
                const std::vector<IncrementalRow>& inc) {
-  std::FILE* f = std::fopen("BENCH_ingest.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_ingest.json\n");
-    return;
+  bench::JsonWriter w("BENCH_ingest.json");
+  if (!w.ok()) return;
+  w.str("benchmark", "ingest").flag("smoke", smoke);
+  w.num("wall_gate_slack", "%.2f", kWallGateSlack);
+  w.num("ratio_gate_slack", "%.2f", kRatioGateSlack).begin_array("publication");
+  for (const PublicationRow& r : pub) {
+    w.row().str("mode", r.mode).count("ops", r.ops).count("epochs", r.epochs);
+    w.num("mutations_per_sec", "%.1f", r.mutations_per_s);
+    w.num("mean_staleness_ms", "%.4f", r.mean_staleness_ms).num("publish_s", "%.6f", r.publish_s);
+    w.count("base_resident_bytes", r.base_resident);
+    w.count("mean_epoch_resident_bytes", r.mean_epoch_resident);
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"ingest\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
-  std::fprintf(f, "  \"wall_gate_slack\": %.2f,\n  \"ratio_gate_slack\": %.2f,\n",
-               kWallGateSlack, kRatioGateSlack);
-  std::fprintf(f, "  \"publication\": [\n");
-  for (std::size_t i = 0; i < pub.size(); ++i) {
-    const PublicationRow& r = pub[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"ops\": %llu, \"epochs\": %llu, "
-                 "\"mutations_per_sec\": %.1f, \"mean_staleness_ms\": %.4f, "
-                 "\"publish_s\": %.6f, \"base_resident_bytes\": %llu, "
-                 "\"mean_epoch_resident_bytes\": %llu}%s\n",
-                 r.mode.c_str(), static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.epochs), r.mutations_per_s,
-                 r.mean_staleness_ms, r.publish_s,
-                 static_cast<unsigned long long>(r.base_resident),
-                 static_cast<unsigned long long>(r.mean_epoch_resident),
-                 i + 1 < pub.size() ? "," : "");
+  w.end_array().begin_array("incremental");
+  for (const IncrementalRow& r : inc) {
+    w.row().str("algo", r.algo).count("epochs", r.epochs);
+    w.count("inc_supersteps", r.inc_supersteps).count("cold_supersteps", r.cold_supersteps);
+    w.num("superstep_ratio", "%.3f", r.superstep_ratio());
+    w.count("inc_messages", r.inc_messages).count("cold_messages", r.cold_messages);
+    w.num("message_ratio", "%.3f", r.message_ratio());
+    w.num("inc_modeled_s", "%.6f", r.inc_modeled_s).num("cold_modeled_s", "%.6f", r.cold_modeled_s);
+    w.num("modeled_time_ratio", "%.3f", r.modeled_time_ratio());
+    w.count("reset_vertices", r.reset_vertices).count("activated_vertices", r.activated_vertices);
   }
-  std::fprintf(f, "  ],\n  \"incremental\": [\n");
-  for (std::size_t i = 0; i < inc.size(); ++i) {
-    const IncrementalRow& r = inc[i];
-    std::fprintf(f,
-                 "    {\"algo\": \"%s\", \"epochs\": %llu, "
-                 "\"inc_supersteps\": %llu, \"cold_supersteps\": %llu, "
-                 "\"superstep_ratio\": %.3f, \"inc_messages\": %llu, "
-                 "\"cold_messages\": %llu, \"message_ratio\": %.3f, "
-                 "\"inc_modeled_s\": %.6f, \"cold_modeled_s\": %.6f, "
-                 "\"modeled_time_ratio\": %.3f, \"reset_vertices\": %llu, "
-                 "\"activated_vertices\": %llu}%s\n",
-                 r.algo.c_str(), static_cast<unsigned long long>(r.epochs),
-                 static_cast<unsigned long long>(r.inc_supersteps),
-                 static_cast<unsigned long long>(r.cold_supersteps), r.superstep_ratio(),
-                 static_cast<unsigned long long>(r.inc_messages),
-                 static_cast<unsigned long long>(r.cold_messages), r.message_ratio(),
-                 r.inc_modeled_s, r.cold_modeled_s, r.modeled_time_ratio(),
-                 static_cast<unsigned long long>(r.reset_vertices),
-                 static_cast<unsigned long long>(r.activated_vertices),
-                 i + 1 < inc.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array();
 }
 
 }  // namespace

@@ -24,9 +24,8 @@
 // Emits BENCH_recovery.json for tooling.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "cyclops/sim/fault.hpp"
 #include "cyclops/sim/message_log.hpp"
 #include "harness.hpp"
+#include "json.hpp"
 
 namespace {
 
@@ -180,34 +180,16 @@ Row run_cyclops_mode(const algo::Dataset& d, const graph::Csr& g, const RunOptio
 
 // ------------------------------------------------------------------- gate
 
-/// Pulls `"modeled_recovery_s": <num>` for a given dataset+recovery row out
-/// of the baseline JSON (written by this benchmark, so the shape is known;
-/// this is a seek, not a parser). Returns 0 when the row is absent.
-double baseline_recovery_s(const std::string& json, const Row& r) {
-  const std::string key = "\"section\": \"" + r.section + "\", \"dataset\": \"" +
-                          r.dataset + "\", \"engine\": \"" + r.engine +
-                          "\", \"mode\": \"" + r.mode + "\", \"recovery\": \"" +
-                          r.recovery + "\"";
-  const std::size_t at = json.find(key);
-  if (at == std::string::npos) return 0;
-  const std::string field = "\"modeled_recovery_s\": ";
-  const std::size_t f = json.find(field, at);
-  if (f == std::string::npos) return 0;
-  return std::strtod(json.c_str() + f + field.size(), nullptr);
-}
-
 int apply_gate(const std::string& baseline_path, const std::vector<Row>& rows) {
-  std::ifstream in(baseline_path);
-  if (!in.good()) {
-    std::fprintf(stderr, "gate: cannot read baseline %s\n", baseline_path.c_str());
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
+  const std::optional<std::string> json = read_baseline(baseline_path);
+  if (!json) return 1;
   int failures = 0;
   for (const Row& r : rows) {
-    const double base = baseline_recovery_s(json, r);
+    const double base = baseline_value(
+        *json,
+        {{"section", r.section}, {"dataset", r.dataset}, {"engine", r.engine},
+         {"mode", r.mode}, {"recovery", r.recovery}},
+        "modeled_recovery_s");
     if (base <= 0) {
       std::fprintf(stderr, "gate: no baseline row for %s/%s/%s — skipping\n",
                    r.dataset.c_str(), r.engine.c_str(), r.recovery.c_str());
@@ -228,54 +210,32 @@ int apply_gate(const std::string& baseline_path, const std::vector<Row>& rows) {
 
 void emit_json(const std::vector<Row>& rows, bool ckpt_claim, double log_speedup,
                double parallel_speedup, bool speedup_claim) {
-  std::FILE* f = std::fopen("BENCH_recovery.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_recovery.json\n");
-    return;
+  JsonWriter w("BENCH_recovery.json");
+  if (!w.ok()) return;
+  w.str("benchmark", "recovery").count("checkpoint_every", kCheckpointEvery);
+  w.count("crash_at", kCrashAt).count("mode_checkpoint_every", kModeCheckpointEvery);
+  w.count("mode_crash_at", kModeCrashAt).num("mode_detection_us", "%.0f", kModeDetectionUs);
+  w.num("gate_slack", "%.2f", kGateSlack);
+  w.flag("cyclops_lightweight_smaller_than_bsp_heavyweight", ckpt_claim);
+  w.num("gweb_log_recovery_speedup", "%.2f", log_speedup);
+  w.num("gweb_log_parallel_recovery_speedup", "%.2f", parallel_speedup);
+  w.flag("gweb_log_recovery_speedup_at_least_5x", speedup_claim).begin_array("rows");
+  for (const Row& r : rows) {
+    const metrics::RecoveryStats& s = r.rec;
+    w.row().str("section", r.section).str("dataset", r.dataset).str("engine", r.engine);
+    w.str("mode", r.mode).str("recovery", r.recovery).count("supersteps", r.supersteps);
+    w.count("checkpoints", s.checkpoints_taken);
+    w.count("checkpoint_bytes", s.checkpoint_bytes_written);
+    w.count("last_checkpoint_bytes", s.last_checkpoint_bytes);
+    w.num("modeled_checkpoint_s", "%.6f", s.modeled_checkpoint_s);
+    w.count("lost_supersteps", s.lost_supersteps);
+    w.num("modeled_recovery_s", "%.6f", s.modeled_recovery_s);
+    w.num("replay_window_s", "%.6f", s.replay_window_s);
+    w.count("log_bytes", s.log_bytes).count("log_packages", s.log_packages);
+    w.count("replay_verified_packages", s.replay_verified_packages);
+    w.count("replay_log_mismatches", s.replay_log_mismatches).num("total_s", "%.6f", r.total_s);
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"recovery\",\n");
-  std::fprintf(f, "  \"checkpoint_every\": %u,\n  \"crash_at\": %u,\n", kCheckpointEvery,
-               kCrashAt);
-  std::fprintf(f,
-               "  \"mode_checkpoint_every\": %u,\n  \"mode_crash_at\": %u,\n"
-               "  \"mode_detection_us\": %.0f,\n",
-               kModeCheckpointEvery, kModeCrashAt, kModeDetectionUs);
-  std::fprintf(f, "  \"gate_slack\": %.2f,\n", kGateSlack);
-  std::fprintf(f, "  \"cyclops_lightweight_smaller_than_bsp_heavyweight\": %s,\n",
-               ckpt_claim ? "true" : "false");
-  std::fprintf(f, "  \"gweb_log_recovery_speedup\": %.2f,\n", log_speedup);
-  std::fprintf(f, "  \"gweb_log_parallel_recovery_speedup\": %.2f,\n", parallel_speedup);
-  std::fprintf(f, "  \"gweb_log_recovery_speedup_at_least_5x\": %s,\n",
-               speedup_claim ? "true" : "false");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"section\": \"%s\", \"dataset\": \"%s\", \"engine\": \"%s\", "
-                 "\"mode\": \"%s\", "
-                 "\"recovery\": \"%s\", \"supersteps\": %zu, \"checkpoints\": %llu, "
-                 "\"checkpoint_bytes\": %llu, \"last_checkpoint_bytes\": %llu, "
-                 "\"modeled_checkpoint_s\": %.6f, \"lost_supersteps\": %llu, "
-                 "\"modeled_recovery_s\": %.6f, \"replay_window_s\": %.6f, "
-                 "\"log_bytes\": %llu, \"log_packages\": %llu, "
-                 "\"replay_verified_packages\": %llu, \"replay_log_mismatches\": %llu, "
-                 "\"total_s\": %.6f}%s\n",
-                 r.section.c_str(), r.dataset.c_str(), r.engine.c_str(), r.mode.c_str(),
-                 r.recovery.c_str(), r.supersteps,
-                 static_cast<unsigned long long>(r.rec.checkpoints_taken),
-                 static_cast<unsigned long long>(r.rec.checkpoint_bytes_written),
-                 static_cast<unsigned long long>(r.rec.last_checkpoint_bytes),
-                 r.rec.modeled_checkpoint_s,
-                 static_cast<unsigned long long>(r.rec.lost_supersteps),
-                 r.rec.modeled_recovery_s, r.rec.replay_window_s,
-                 static_cast<unsigned long long>(r.rec.log_bytes),
-                 static_cast<unsigned long long>(r.rec.log_packages),
-                 static_cast<unsigned long long>(r.rec.replay_verified_packages),
-                 static_cast<unsigned long long>(r.rec.replay_log_mismatches), r.total_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array();
   std::puts("wrote BENCH_recovery.json");
 }
 

@@ -20,9 +20,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cyclops/algorithms/pagerank.hpp"
@@ -36,6 +36,7 @@
 #include "cyclops/graph/store.hpp"
 #include "cyclops/partition/hash.hpp"
 #include "cyclops/partition/vertex_cut.hpp"
+#include "json.hpp"
 
 namespace {
 
@@ -173,43 +174,24 @@ double run_oversized_stream(const CapacityRow& memory_cap, std::uint64_t cap_byt
 
 // ------------------------------------------------------------------- gate
 
-/// Pulls `"edges_per_sec": <num>` for a given engine+store row out of the
-/// baseline JSON (written by this benchmark, so the shape is known; this is
-/// a seek, not a parser). Returns 0 when the row is absent.
-double baseline_edges_per_sec(const std::string& json, const std::string& engine,
-                              std::string_view store) {
-  const std::string key =
-      "\"engine\": \"" + engine + "\", \"store\": \"" + std::string(store) + "\"";
-  const std::size_t at = json.find(key);
-  if (at == std::string::npos) return 0;
-  const std::string field = "\"edges_per_sec\": ";
-  const std::size_t f = json.find(field, at);
-  if (f == std::string::npos) return 0;
-  return std::strtod(json.c_str() + f + field.size(), nullptr);
-}
-
 int apply_gate(const std::string& baseline_path, const std::vector<ThroughputRow>& rows) {
-  std::ifstream in(baseline_path);
-  if (!in.good()) {
-    std::fprintf(stderr, "gate: cannot read baseline %s\n", baseline_path.c_str());
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
+  const std::optional<std::string> json = bench::read_baseline(baseline_path);
+  if (!json) return 1;
   int failures = 0;
   for (const ThroughputRow& r : rows) {
-    const double base = baseline_edges_per_sec(json, r.engine, store_kind_name(r.kind));
+    const std::string_view store = store_kind_name(r.kind);
+    const double base = bench::baseline_value(
+        *json, {{"engine", r.engine}, {"store", store}}, "edges_per_sec");
     if (base <= 0) {
       std::fprintf(stderr, "gate: no baseline row for %s/%s — skipping\n",
-                   r.engine.c_str(), std::string(store_kind_name(r.kind)).c_str());
+                   r.engine.c_str(), std::string(store).c_str());
       continue;
     }
     const double floor = kGateSlack * base;
     const bool ok = r.edges_per_sec() >= floor;
     std::printf("gate: %-7s %-7s  %.3g e/s vs baseline %.3g (floor %.3g) %s\n",
-                r.engine.c_str(), std::string(store_kind_name(r.kind)).c_str(),
-                r.edges_per_sec(), base, floor, ok ? "ok" : "FAIL");
+                r.engine.c_str(), std::string(store).c_str(), r.edges_per_sec(), base,
+                floor, ok ? "ok" : "FAIL");
     if (!ok) ++failures;
   }
   return failures == 0 ? 0 : 1;
@@ -219,40 +201,23 @@ int apply_gate(const std::string& baseline_path, const std::vector<ThroughputRow
 
 void emit_json(std::uint64_t cap_bytes, const std::vector<CapacityRow>& capacity,
                double stream_scale_factor, const std::vector<ThroughputRow>& rows) {
-  std::FILE* f = std::fopen("BENCH_scale.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_scale.json\n");
-    return;
+  bench::JsonWriter w("BENCH_scale.json");
+  if (!w.ok()) return;
+  w.str("benchmark", "scale").count("mem_cap_bytes", cap_bytes);
+  w.num("gate_slack", "%.2f", kGateSlack).begin_array("capacity");
+  for (const CapacityRow& c : capacity) {
+    w.row().str("store", store_kind_name(c.kind)).count("max_scale", c.max_scale);
+    w.count("max_edges", c.max_edges).count("resident_bytes", c.resident);
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"scale\",\n");
-  std::fprintf(f, "  \"mem_cap_bytes\": %llu,\n",
-               static_cast<unsigned long long>(cap_bytes));
-  std::fprintf(f, "  \"gate_slack\": %.2f,\n", kGateSlack);
-  std::fprintf(f, "  \"capacity\": [\n");
-  for (std::size_t i = 0; i < capacity.size(); ++i) {
-    const CapacityRow& c = capacity[i];
-    std::fprintf(f,
-                 "    {\"store\": \"%s\", \"max_scale\": %u, \"max_edges\": %zu, "
-                 "\"resident_bytes\": %llu}%s\n",
-                 std::string(store_kind_name(c.kind)).c_str(), c.max_scale, c.max_edges,
-                 static_cast<unsigned long long>(c.resident),
-                 i + 1 < capacity.size() ? "," : "");
+  w.end_array().num("stream_scale_factor", "%.2f", stream_scale_factor);
+  w.begin_array("throughput");
+  for (const ThroughputRow& r : rows) {
+    w.row().str("engine", r.engine).str("store", store_kind_name(r.kind));
+    w.count("edges", r.edges).count("supersteps", r.supersteps);
+    w.num("elapsed_s", "%.6f", r.elapsed_s).num("edges_per_sec", "%.1f", r.edges_per_sec());
+    w.num("superstep_ms", "%.3f", r.superstep_ms());
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"stream_scale_factor\": %.2f,\n", stream_scale_factor);
-  std::fprintf(f, "  \"throughput\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ThroughputRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"store\": \"%s\", \"edges\": %zu, "
-                 "\"supersteps\": %zu, \"elapsed_s\": %.6f, \"edges_per_sec\": %.1f, "
-                 "\"superstep_ms\": %.3f}%s\n",
-                 r.engine.c_str(), std::string(store_kind_name(r.kind)).c_str(), r.edges,
-                 r.supersteps, r.elapsed_s, r.edges_per_sec(), r.superstep_ms(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array();
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "cyclops/common/timer.hpp"
 #include "cyclops/service/service.hpp"
 #include "harness.hpp"
+#include "json.hpp"
 
 namespace {
 
@@ -138,35 +139,22 @@ ScenarioResult run_scenario(const std::string& name, const graph::EdgeList& edge
 
 void emit_json(const std::vector<ScenarioResult>& rows, double realize,
                double speedup, bool claim_holds) {
-  std::FILE* f = std::fopen("BENCH_service.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_service.json\n");
-    return;
+  bench::JsonWriter w("BENCH_service.json");
+  if (!w.ok()) return;
+  w.str("bench", "service").count("jobs_per_scenario", kJobs);
+  w.num("realize_modeled_factor", "%.3f", realize);
+  w.num("speedup_4_tenants_vs_serialized", "%.3f", speedup);
+  w.flag("claim_speedup_gt_2x", claim_holds).begin_array("scenarios");
+  for (const auto& r : rows) {
+    w.row().str("name", r.name).count("tenants", r.tenants).count("slots", r.slots);
+    w.count("completed", r.completed).num("makespan_s", "%.4f", r.makespan_s);
+    w.num("throughput_jobs_per_s", "%.3f", r.throughput_jps);
+    w.num("latency_p50_s", "%.4f", r.p50_s).num("latency_p95_s", "%.4f", r.p95_s);
+    w.num("latency_p99_s", "%.4f", r.p99_s).count("epochs_published", r.epochs_published);
+    w.num("snapshot_build_total_s", "%.4f", r.snapshot_build_total_s);
+    w.num("snapshot_build_last_s", "%.4f", r.snapshot_build_last_s);
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"service\",\n");
-  std::fprintf(f, "  \"jobs_per_scenario\": %zu,\n", kJobs);
-  std::fprintf(f, "  \"realize_modeled_factor\": %.3f,\n", realize);
-  std::fprintf(f, "  \"speedup_4_tenants_vs_serialized\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"claim_speedup_gt_2x\": %s,\n", claim_holds ? "true" : "false");
-  std::fprintf(f, "  \"scenarios\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"tenants\": %zu, \"slots\": %zu, "
-                 "\"completed\": %zu, \"makespan_s\": %.4f, "
-                 "\"throughput_jobs_per_s\": %.3f, \"latency_p50_s\": %.4f, "
-                 "\"latency_p95_s\": %.4f, \"latency_p99_s\": %.4f, "
-                 "\"epochs_published\": %llu, \"snapshot_build_total_s\": %.4f, "
-                 "\"snapshot_build_last_s\": %.4f}%s\n",
-                 r.name.c_str(), r.tenants, r.slots, r.completed, r.makespan_s,
-                 r.throughput_jps, r.p50_s, r.p95_s, r.p99_s,
-                 static_cast<unsigned long long>(r.epochs_published),
-                 r.snapshot_build_total_s, r.snapshot_build_last_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array();
   std::puts("wrote BENCH_service.json");
 }
 

@@ -439,7 +439,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
             // Drain the combiner map in ascending-dst order: unordered_map
             // iteration order is load-factor- and libstdc++-version-dependent
             // and must never decide wire layout (bit-identical traffic across
-            // runs is a repo invariant; see tools/cyclops_lint.cpp).
+            // runs is a repo invariant; see tools/analyze/rules.hpp).
             std::vector<WireRecord> drained;
             drained.reserve(bucket.combined.size());
             for (const auto& [dst, msg] : bucket.combined) {

@@ -50,8 +50,8 @@ enum class EngineTag : std::uint8_t { kBsp = 1, kCyclops = 2, kGas = 3 };
 inline void write_engine_header(ByteWriter& out, EngineTag tag, CheckpointMode mode,
                                 std::uint64_t num_vertices, std::uint64_t num_edges) {
   // One-byte tag fields are the snapshot format, not accidental truncation.
-  out.write(static_cast<std::uint8_t>(tag));   // cyclops-lint: allow(wire-narrowing)
-  out.write(static_cast<std::uint8_t>(mode));  // cyclops-lint: allow(wire-narrowing)
+  out.write(static_cast<std::uint8_t>(tag));   // cyclops-analyze: allow(wire-narrowing)
+  out.write(static_cast<std::uint8_t>(mode));  // cyclops-analyze: allow(wire-narrowing)
   out.write(num_vertices);
   out.write(num_edges);
 }

@@ -58,9 +58,11 @@ std::uint32_t chained_crc(std::uint32_t base_crc, const core::TopologyDelta::Can
   std::uint8_t* p = buf.data();
   std::memcpy(p, &base_crc, sizeof(base_crc));
   p += sizeof(base_crc);
-  std::memcpy(p, c.adds.data(), c.adds.size() * sizeof(graph::Edge));
+  // An empty side's data() may be null, which memcpy forbids even for a
+  // zero-length copy; skipping it writes the same bytes.
+  if (!c.adds.empty()) std::memcpy(p, c.adds.data(), c.adds.size() * sizeof(graph::Edge));
   p += c.adds.size() * sizeof(graph::Edge);
-  std::memcpy(p, c.removes.data(), c.removes.size() * sizeof(graph::Edge));
+  if (!c.removes.empty()) std::memcpy(p, c.removes.data(), c.removes.size() * sizeof(graph::Edge));
   return crc32(std::span<const std::uint8_t>(buf.data(), buf.size()));
 }
 

@@ -24,7 +24,7 @@ void fixture_csr_outside_graph() {
   (void)s;
   // a comment naming Csr is fine
 
-  // cyclops-lint: allow(csr-outside-graph)
+  // cyclops-analyze: allow(csr-outside-graph)
   const cyclops::graph::Csr* suppressed = nullptr;
   (void)suppressed;
 }

@@ -24,7 +24,7 @@ void allowed(core::TopologyDelta& delta, SnapshotStore& store, EdgeList& edges) 
 }
 
 void harness(core::TopologyDelta& delta, EdgeList& edges) {
-  // cyclops-lint: allow(delta-outside-ingest)
+  // cyclops-analyze: allow(delta-outside-ingest)
   delta.apply(edges);
 }
 

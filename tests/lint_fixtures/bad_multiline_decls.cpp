@@ -1,6 +1,6 @@
-// Fixture for the scanner's former multi-line-declaration blind spot: a
-// declaration is a token run, not a line. Both engines (lint_core.hpp and
-// tools/analyze/) must flag these; test_lint.cpp asserts the parity.
+// Fixture for multi-line declarations, a blind spot of line scanners: a
+// declaration is a token run, not a line. cyclops-analyze must flag these;
+// test_lint.cpp pins the findings.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>

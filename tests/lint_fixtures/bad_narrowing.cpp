@@ -12,7 +12,7 @@ struct Out {
 void fixture_narrowing(Out& out, std::uint64_t big, int tag) {
   out.write(static_cast<std::uint8_t>(tag));    // line 13: narrowed onto wire
   out.write(static_cast<std::uint16_t>(big));   // line 14: narrowed onto wire
-  out.write(static_cast<std::uint8_t>(tag));    // cyclops-lint: allow(wire-narrowing)
+  out.write(static_cast<std::uint8_t>(tag));    // cyclops-analyze: allow(wire-narrowing)
   // Not flagged: the cast and the wire call live on separate lines.
   const auto flags = static_cast<std::uint8_t>(tag);
   out.write(static_cast<std::uint64_t>(flags));

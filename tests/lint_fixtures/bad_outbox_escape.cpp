@@ -16,7 +16,7 @@ void leak(Fabric& fabric, Fabric* pf) {
 
 void allowed(Fabric& fabric) {
   // Suppressed: a test harness may poke the fabric directly.
-  // cyclops-lint: allow(outbox-outside-runtime)
+  // cyclops-analyze: allow(outbox-outside-runtime)
   fabric.outbox(0).send(1, msg);
   // Declaring a method named outbox (no '.' or '->') is not a direct grab:
   OutBox& outbox(WorkerId from);

@@ -1,34 +1,24 @@
-// Unit tests for the two lint engines, run against the fixture files in
-// tests/lint_fixtures/. Each fixture documents its expected findings inline;
-// the assertions here are the goldens.
-//
-//   * cyclops-lint (tools/lint_core.hpp): the legacy line scanner, kept as
-//     the dependency-free first gate;
-//   * cyclops-analyze (tools/analyze/): the token engine — same 8 rules plus
-//     the include-layering, include-cycle, and frozen-view passes, SARIF
-//     output, and baselines.
-//
-// The parity tests hold both engines to identical findings on every shared
-// fixture (restricted to the 8 rules both implement), including the former
-// line-scanner gaps: multi-line declarations and >60-line lock scopes.
+// Unit tests for cyclops-analyze (tools/analyze/), the repo's static
+// analyzer: the 8 repo-invariant rules, the include-layering, include-cycle,
+// and frozen-view passes, SARIF output, and baselines. Most rules are pinned
+// against the fixture files in tests/lint_fixtures/; each fixture documents
+// its expected findings inline, and the goldens below are the reference.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analyze/analyzer.hpp"
-#include "lint_core.hpp"
 
 namespace {
 
-using cyclops::lint::Finding;
-using cyclops::lint::classify_path;
-using cyclops::lint::lint_file;
+namespace az = cyclops::analyze;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -38,143 +28,185 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-/// Lints one fixture and returns sorted (line, rule) pairs — the shape the
-/// golden assertions compare against.
-std::vector<std::pair<int, std::string>> lint_fixture(const std::string& name) {
-  const std::string path = std::string(CYCLOPS_LINT_FIXTURE_DIR) + "/" + name;
-  std::vector<std::pair<int, std::string>> got;
-  for (const Finding& f : lint_file(path, slurp(path))) {
+std::string fixture_path(const std::string& name) {
+  return std::string(CYCLOPS_LINT_FIXTURE_DIR) + "/" + name;
+}
+
+using Golden = std::vector<std::pair<int, std::string>>;
+
+/// Analyzes one fixture (per-file passes only) and returns sorted
+/// (line, rule) pairs — the shape the golden assertions compare against.
+Golden analyze_fixture(const std::string& name) {
+  const std::string path = fixture_path(name);
+  Golden got;
+  for (const az::Finding& f : az::analyze_file(path, slurp(path))) {
     got.emplace_back(f.line, f.rule);
   }
   std::sort(got.begin(), got.end());
   return got;
 }
 
-using Golden = std::vector<std::pair<int, std::string>>;
+/// The expected findings of every fixture the 8 token rules are pinned on.
+const std::vector<std::pair<std::string, Golden>>& fixture_goldens() {
+  static const std::vector<std::pair<std::string, Golden>> kGoldens = {
+      {"bad_determinism.cpp",
+       {{9, "determinism"}, {10, "determinism"}, {11, "determinism"}, {12, "determinism"}}},
+      {"bad_unordered_wire.cpp", {{19, "unordered-wire"}, {23, "unordered-wire"}}},
+      {"bad_raw_thread.cpp", {{11, "raw-thread"}, {12, "raw-thread"}, {13, "raw-thread"}}},
+      {"bad_narrowing.cpp", {{13, "wire-narrowing"}, {14, "wire-narrowing"}}},
+      {"bad_lock_across_wire.cpp", {{29, "lock-across-wire"}, {35, "lock-across-wire"}}},
+      {"bad_csr_outside_graph.cpp",
+       {{7, "csr-outside-graph"},
+        {12, "csr-outside-graph"},
+        {13, "csr-outside-graph"},
+        {15, "csr-outside-graph"}}},
+      {"bad_outbox_escape.cpp",
+       {{12, "outbox-outside-runtime"}, {13, "outbox-outside-runtime"}}},
+      {"bad_delta_escape.cpp", {{13, "delta-outside-ingest"}, {14, "delta-outside-ingest"}}},
+      {"bad_multiline_decls.cpp", {{22, "unordered-wire"}, {30, "delta-outside-ingest"}}},
+      {"bad_lock_long_scope.cpp", {{87, "lock-across-wire"}, {93, "unordered-wire"}}},
+      {"clean.cpp", {}},
+  };
+  return kGoldens;
+}
+
+const Golden& golden(const std::string& name) {
+  for (const auto& [fixture, expected] : fixture_goldens()) {
+    if (fixture == name) return expected;
+  }
+  ADD_FAILURE() << "no golden for " << name;
+  static const Golden kNone;
+  return kNone;
+}
+
+/// The message of the finding at `line` in fixture `name`, or "" if none.
+std::string fixture_message(const std::string& name, int line) {
+  const std::string path = fixture_path(name);
+  for (const az::Finding& f : az::analyze_file(path, slurp(path))) {
+    if (f.line == line) return f.message;
+  }
+  return {};
+}
+
+/// Identifier tokens of `src`, in order: what the rules can see once
+/// comments and literal bodies are gone.
+std::vector<std::string> idents(const std::string& src) {
+  std::vector<std::string> out;
+  for (const az::Token& t : az::lex(src).tokens) {
+    if (t.kind == az::Tok::kIdent) out.push_back(t.text);
+  }
+  return out;
+}
+
+using Idents = std::vector<std::string>;
 
 TEST(Lint, DeterminismFixture) {
-  const Golden expected = {{9, "determinism"},
-                           {10, "determinism"},
-                           {11, "determinism"},
-                           {12, "determinism"}};
-  EXPECT_EQ(lint_fixture("bad_determinism.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_determinism.cpp"), golden("bad_determinism.cpp"));
 }
 
 TEST(Lint, UnorderedWireFixture) {
-  const Golden expected = {{19, "unordered-wire"}, {23, "unordered-wire"}};
-  EXPECT_EQ(lint_fixture("bad_unordered_wire.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_unordered_wire.cpp"), golden("bad_unordered_wire.cpp"));
 }
 
 TEST(Lint, RawThreadFixture) {
-  const Golden expected = {{11, "raw-thread"},
-                           {12, "raw-thread"},
-                           {13, "raw-thread"}};
-  EXPECT_EQ(lint_fixture("bad_raw_thread.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_raw_thread.cpp"), golden("bad_raw_thread.cpp"));
 }
 
 TEST(Lint, NarrowingFixtureHonoursSuppression) {
-  // Line 15 carries `// cyclops-lint: allow(wire-narrowing)` and must not
+  // Line 15 carries `// cyclops-analyze: allow(wire-narrowing)` and must not
   // appear; lines 17/18 split the cast and the wire call across lines.
-  const Golden expected = {{13, "wire-narrowing"}, {14, "wire-narrowing"}};
-  EXPECT_EQ(lint_fixture("bad_narrowing.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_narrowing.cpp"), golden("bad_narrowing.cpp"));
 }
 
 TEST(Lint, LockAcrossWireFixture) {
   // Lines 29/35: a send under an RAII guard and under a manual .lock().
   // The release patterns (send after .unlock(), after the guard's scope
   // closes, staged-drain) must stay silent.
-  const Golden expected = {{29, "lock-across-wire"}, {35, "lock-across-wire"}};
-  EXPECT_EQ(lint_fixture("bad_lock_across_wire.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_lock_across_wire.cpp"), golden("bad_lock_across_wire.cpp"));
 }
 
 TEST(Lint, LockAcrossWireHonoursSuppression) {
   const std::string body =
       "mu.lock();\n"
-      "sender.send(0, x);  // cyclops-lint: allow(lock-across-wire)\n"
+      "sender.send(0, x);  // cyclops-analyze: allow(lock-across-wire)\n"
       "mu.unlock();\n";
-  EXPECT_TRUE(lint_file("x.cpp", body).empty());
+  EXPECT_TRUE(az::analyze_file("x.cpp", body).empty());
 }
 
 TEST(Lint, CleanFixtureHasZeroFindings) {
-  EXPECT_TRUE(lint_fixture("clean.cpp").empty());
+  // Through the whole multi-file driver, include pass and all.
+  const std::string path = fixture_path("clean.cpp");
+  EXPECT_TRUE(az::analyze_files({az::SourceFile{path, slurp(path)}}).empty());
 }
 
 TEST(Lint, CsrOutsideGraphFixture) {
-  const Golden expected = {{7, "csr-outside-graph"},
-                           {12, "csr-outside-graph"},
-                           {13, "csr-outside-graph"},
-                           {15, "csr-outside-graph"}};
-  EXPECT_EQ(lint_fixture("bad_csr_outside_graph.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_csr_outside_graph.cpp"), golden("bad_csr_outside_graph.cpp"));
 }
 
 TEST(Lint, OutboxEscapeFixture) {
   // Lines 12/13: raw OutBox grabs via '.' and '->'. Line 20 is suppressed;
   // a declaration of a method named outbox and a string literal stay silent.
-  const Golden expected = {{12, "outbox-outside-runtime"},
-                           {13, "outbox-outside-runtime"}};
-  EXPECT_EQ(lint_fixture("bad_outbox_escape.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_outbox_escape.cpp"), golden("bad_outbox_escape.cpp"));
 }
 
 TEST(Lint, DeltaEscapeFixture) {
   // Lines 13/14: in-place apply() via '.' and '->'. The applied() copy,
   // apply() on non-delta receivers (SnapshotStore, a GAS program), and the
   // suppressed harness call all stay silent.
-  const Golden expected = {{13, "delta-outside-ingest"},
-                           {14, "delta-outside-ingest"}};
-  EXPECT_EQ(lint_fixture("bad_delta_escape.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_delta_escape.cpp"), golden("bad_delta_escape.cpp"));
 }
 
 TEST(Lint, CoreAndIngestPathsExemptDeltaApply) {
   const std::string body =
       "core::TopologyDelta delta;\ndelta.apply(edges);\n";
-  EXPECT_TRUE(lint_file("src/cyclops/core/mutation.cpp", body).empty());
-  EXPECT_TRUE(lint_file("src/cyclops/ingest/ingestor.cpp", body).empty());
-  const auto findings = lint_file("src/cyclops/service/snapshot.cpp", body);
+  EXPECT_TRUE(az::analyze_file("src/cyclops/core/mutation.cpp", body).empty());
+  EXPECT_TRUE(az::analyze_file("src/cyclops/ingest/ingestor.cpp", body).empty());
+  const auto findings = az::analyze_file("src/cyclops/service/snapshot.cpp", body);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "delta-outside-ingest");
 }
 
 TEST(Lint, RuntimeAndSimPathsExemptOutbox) {
   const std::string body = "auto& box = fabric.outbox(from, lane);\n";
-  EXPECT_TRUE(lint_file("src/cyclops/runtime/sync_channel.hpp", body).empty());
-  EXPECT_TRUE(lint_file("src/cyclops/sim/fabric.hpp", body).empty());
-  const auto findings = lint_file("src/cyclops/bsp/engine.hpp", body);
+  EXPECT_TRUE(az::analyze_file("src/cyclops/runtime/sync_channel.hpp", body).empty());
+  EXPECT_TRUE(az::analyze_file("src/cyclops/sim/fabric.hpp", body).empty());
+  const auto findings = az::analyze_file("src/cyclops/bsp/engine.hpp", body);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "outbox-outside-runtime");
 }
 
 TEST(Lint, GraphPathExemptsCsr) {
   const std::string body = "graph::Csr g = graph::Csr::build(e);\n";
-  EXPECT_TRUE(lint_file("src/cyclops/graph/store.cpp", body).empty());
-  const auto findings = lint_file("src/cyclops/core/engine.hpp", body);
+  EXPECT_TRUE(az::analyze_file("src/cyclops/graph/store.cpp", body).empty());
+  const auto findings = az::analyze_file("src/cyclops/core/engine.hpp", body);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "csr-outside-graph");
 }
 
 TEST(Lint, CommonPathExemptsRawThread) {
   const std::string body = "std::mutex m;\nstd::thread t;\n";
-  EXPECT_TRUE(lint_file("src/cyclops/common/sync.hpp", body).empty());
-  EXPECT_EQ(lint_file("src/cyclops/core/engine.hpp", body).size(), 2u);
+  EXPECT_TRUE(az::analyze_file("src/cyclops/common/sync.hpp", body).empty());
+  EXPECT_EQ(az::analyze_file("src/cyclops/core/engine.hpp", body).size(), 2u);
 }
 
 TEST(Lint, ClassifyPath) {
-  EXPECT_TRUE(classify_path("src/cyclops/common/thread_pool.cpp").in_common);
-  EXPECT_FALSE(classify_path("src/cyclops/runtime/superstep_driver.hpp").in_common);
-  EXPECT_TRUE(classify_path("src/cyclops/graph/compact_csr.cpp").in_graph);
-  EXPECT_FALSE(classify_path("src/cyclops/gas/gas_layout.cpp").in_graph);
-  EXPECT_TRUE(classify_path("src/cyclops/runtime/sync_channel.hpp").in_runtime);
-  EXPECT_TRUE(classify_path("src/cyclops/sim/fabric.cpp").in_sim);
-  EXPECT_FALSE(classify_path("src/cyclops/bsp/engine.hpp").in_runtime);
-  EXPECT_FALSE(classify_path("src/cyclops/bsp/engine.hpp").in_sim);
-  EXPECT_TRUE(classify_path("src/cyclops/core/mutation.cpp").in_core);
-  EXPECT_TRUE(classify_path("src/cyclops/ingest/ingestor.cpp").in_ingest);
-  EXPECT_FALSE(classify_path("src/cyclops/service/snapshot.cpp").in_core);
-  EXPECT_FALSE(classify_path("src/cyclops/service/snapshot.cpp").in_ingest);
+  EXPECT_TRUE(az::classify_path("src/cyclops/common/thread_pool.cpp").in_common);
+  EXPECT_FALSE(az::classify_path("src/cyclops/runtime/superstep_driver.hpp").in_common);
+  EXPECT_TRUE(az::classify_path("src/cyclops/graph/compact_csr.cpp").in_graph);
+  EXPECT_FALSE(az::classify_path("src/cyclops/gas/gas_layout.cpp").in_graph);
+  EXPECT_TRUE(az::classify_path("src/cyclops/runtime/sync_channel.hpp").in_runtime);
+  EXPECT_TRUE(az::classify_path("src/cyclops/sim/fabric.cpp").in_sim);
+  EXPECT_FALSE(az::classify_path("src/cyclops/bsp/engine.hpp").in_runtime);
+  EXPECT_FALSE(az::classify_path("src/cyclops/bsp/engine.hpp").in_sim);
+  EXPECT_TRUE(az::classify_path("src/cyclops/core/mutation.cpp").in_core);
+  EXPECT_TRUE(az::classify_path("src/cyclops/ingest/ingestor.cpp").in_ingest);
+  EXPECT_FALSE(az::classify_path("src/cyclops/service/snapshot.cpp").in_core);
+  EXPECT_FALSE(az::classify_path("src/cyclops/service/snapshot.cpp").in_ingest);
   // tests/ is exempt from the ownership rules (it exercises the concrete
   // layers), but lint_fixtures/ simulate engine code and stay checked.
-  EXPECT_TRUE(classify_path("tests/test_graph_store.cpp").in_tests);
-  EXPECT_FALSE(classify_path("tests/lint_fixtures/bad_csr_outside_graph.cpp").in_tests);
-  EXPECT_FALSE(classify_path("src/cyclops/core/engine.hpp").in_tests);
+  EXPECT_TRUE(az::classify_path("tests/test_graph_store.cpp").in_tests);
+  EXPECT_FALSE(az::classify_path("tests/lint_fixtures/bad_csr_outside_graph.cpp").in_tests);
+  EXPECT_FALSE(az::classify_path("src/cyclops/core/engine.hpp").in_tests);
 }
 
 TEST(Lint, TestsPathExemptsOwnershipRulesOnly) {
@@ -186,137 +218,106 @@ TEST(Lint, TestsPathExemptsOwnershipRulesOnly) {
       "std::thread t;\n";
   // Ownership rules are exempt under tests/, but raw-thread still fires —
   // test code shares the engine's concurrency discipline.
-  const auto findings = lint_file("tests/test_graph_store.cpp", body);
+  const auto findings = az::analyze_file("tests/test_graph_store.cpp", body);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "raw-thread");
 }
 
 TEST(Lint, SuppressionOnPreviousLine) {
   const std::string body =
-      "// cyclops-lint: allow(determinism)\n"
+      "// cyclops-analyze: allow(determinism)\n"
       "long t = time(nullptr);\n"
       "long u = time(nullptr);\n";
-  const auto findings = lint_file("x.cpp", body);
+  const auto findings = az::analyze_file("x.cpp", body);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 3);  // only the unsuppressed second call
 }
 
 TEST(LintDetail, CodeOnlyStripsCommentsAndStrings) {
-  bool in_block = false;
-  EXPECT_EQ(cyclops::lint::detail::code_only("x = 1; // rand()", in_block), "x = 1; ");
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = \"rand()\";", in_block), "s = \";");
-  EXPECT_EQ(cyclops::lint::detail::code_only("a /* rand() */ b", in_block), "a  b");
-  EXPECT_FALSE(in_block);
-  EXPECT_EQ(cyclops::lint::detail::code_only("a /* open", in_block), "a ");
-  EXPECT_TRUE(in_block);
-  EXPECT_EQ(cyclops::lint::detail::code_only("still closed */ tail", in_block), " tail");
-  EXPECT_FALSE(in_block);
+  EXPECT_EQ(idents("x = 1; // rand()"), Idents({"x"}));
+  EXPECT_EQ(idents("s = \"rand()\";"), Idents({"s"}));
+  EXPECT_EQ(idents("a /* rand() */ b"), Idents({"a", "b"}));
+  // A block comment left open runs on to the next line's close.
+  EXPECT_EQ(idents("a /* open\nstill closed */ tail"), Idents({"a", "tail"}));
 }
 
 TEST(LintDetail, CodeOnlyHandlesEscapedQuotes) {
-  bool in_block = false;
   // An escaped quote must not close the literal early: rand() stays hidden.
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = \"\\\"rand()\\\"\";", in_block),
-            "s = \";");
-  EXPECT_EQ(cyclops::lint::detail::code_only("c = '\\''; t = time(0);", in_block),
-            "c = '; t = time(0);");
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = \"tail\\\\\"; rand();", in_block),
-            "s = \"; rand();");
-  EXPECT_FALSE(in_block);
+  EXPECT_EQ(idents("s = \"\\\"rand()\\\"\";"), Idents({"s"}));
+  EXPECT_EQ(idents("c = '\\''; t = time(0);"), Idents({"c", "t", "time"}));
+  EXPECT_EQ(idents("s = \"tail\\\\\"; rand();"), Idents({"s", "rand"}));
 }
 
 TEST(LintDetail, CodeOnlyHandlesRawStrings) {
-  using cyclops::lint::detail::ScanState;
-  ScanState st;
   // The inner quote of a raw literal is not a terminator: everything up to
-  // )" is literal body, including the ") that used to desync the scanner.
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = R\"(a \" b rand() c)\";", st), "s = R\";");
-  EXPECT_FALSE(st.in_raw);
+  // )" is literal body.
+  EXPECT_EQ(idents("s = R\"(a \" b rand() c)\";"), Idents({"s"}));
   // Custom delimiter: )x" inside the body is not the close for )delim".
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = R\"delim(x)\" rand() )delim\";", st),
-            "s = R\";");
-  EXPECT_FALSE(st.in_raw);
+  EXPECT_EQ(idents("s = R\"delim(x)\" rand() )delim\";"), Idents({"s"}));
   // Encoding prefixes still open a raw literal.
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = u8R\"(time(0))\";", st), "s = u8R\";");
-  // Multi-line raw literal: state carries across lines, the body never
-  // reaches token scans, and code after the close on the final line does.
-  EXPECT_EQ(cyclops::lint::detail::code_only("s = R\"(first", st), "s = R\"");
-  EXPECT_TRUE(st.in_raw);
-  EXPECT_EQ(cyclops::lint::detail::code_only("rand() \" /* neither */", st), "");
-  EXPECT_TRUE(st.in_raw);
-  EXPECT_EQ(cyclops::lint::detail::code_only(")\"; t = time(0);", st), "; t = time(0);");
-  EXPECT_FALSE(st.in_raw);
+  EXPECT_EQ(idents("s = u8R\"(time(0))\";"), Idents({"s"}));
+  // Multi-line raw literal: the body never reaches the rules, and code after
+  // the close on the final line does.
+  EXPECT_EQ(idents("s = R\"(first\nrand() \" /* neither */\n)\"; t = time(0);"),
+            Idents({"s", "t", "time"}));
   // An identifier ending in R is not a raw-string prefix.
-  EXPECT_EQ(cyclops::lint::detail::code_only("x = VAR\"s\";", st), "x = VAR\";");
+  EXPECT_EQ(idents("x = VAR\"s\";"), Idents({"x", "VAR"}));
 }
 
 TEST(Lint, RawStringBodyDoesNotTriggerRules) {
-  // Before the ScanState fix the inner `"` ended the literal scan early and
-  // the rest of the body leaked into code — time( here would false-positive.
+  // A raw literal's inner `"` must not end the literal early and leak the
+  // rest of the body into code — time( here would false-positive.
   const std::string body =
       "const char* doc = R\"(call \" time(now) \" anywhere)\";\n"
       "const char* multi = R\"(spans\n"
       "time(lines) rand()\n"
       ")\";\n";
-  EXPECT_TRUE(lint_file("x.cpp", body).empty());
+  EXPECT_TRUE(az::analyze_file("x.cpp", body).empty());
 }
 
 TEST(LintDetail, HasTokenRespectsIdentifierBoundary) {
-  EXPECT_TRUE(cyclops::lint::detail::has_token("t = time(nullptr);", "time("));
-  EXPECT_TRUE(cyclops::lint::detail::has_token("std::rand();", "rand("));
-  EXPECT_FALSE(cyclops::lint::detail::has_token("elapsed_time(x);", "time("));
-  EXPECT_FALSE(cyclops::lint::detail::has_token("strand(x);", "rand("));
+  const auto determinism_hits = [](const std::string& line) {
+    return az::analyze_file("x.cpp", line + "\n").size();
+  };
+  EXPECT_EQ(determinism_hits("t = time(nullptr);"), 1u);
+  EXPECT_EQ(determinism_hits("std::rand();"), 1u);
+  EXPECT_EQ(determinism_hits("elapsed_time(x);"), 0u);
+  EXPECT_EQ(determinism_hits("strand(x);"), 0u);
 }
 
 TEST(LintDetail, RangeForTarget) {
-  EXPECT_EQ(cyclops::lint::detail::range_for_target(
-                "for (const auto& [k, v] : bucket.combined) {"),
-            "combined");
-  EXPECT_EQ(cyclops::lint::detail::range_for_target("for (auto x : ys)"), "ys");
-  EXPECT_EQ(cyclops::lint::detail::range_for_target("for (int i = 0; i < n; ++i)"), "");
-  EXPECT_EQ(cyclops::lint::detail::range_for_target("x = a ? b : c;"), "");
+  // `header` is followed by a body that sends; unordered-wire fires only when
+  // it is a range-for whose range expression ends in the unordered `target`.
+  const auto fires = [](const std::string& target, const std::string& header) {
+    const std::string body = "std::unordered_set<int> " + target + ";\n" + header +
+                             " {\n  sender.send(0, 1);\n}\n";
+    const auto findings = az::analyze_file("x.cpp", body);
+    return findings.size() == 1 && findings[0].rule == "unordered-wire" &&
+           findings[0].line == 2;
+  };
+  EXPECT_TRUE(fires("combined", "for (const auto& [k, v] : bucket.combined)"));
+  EXPECT_TRUE(fires("ys", "for (auto x : ys)"));
+  EXPECT_FALSE(fires("n", "for (int i = 0; i < n; ++i)"));
+  EXPECT_FALSE(fires("c", "x = a ? b : c;"));
 }
 
-// --- former line-scanner gaps, now fixed in the legacy engine too ---------
-
 TEST(Lint, MultilineDeclsFixture) {
-  // A declaration split across lines used to be invisible to the per-line
-  // ident collectors; the flattened scan captures it.
-  const Golden expected = {{22, "unordered-wire"}, {30, "delta-outside-ingest"}};
-  EXPECT_EQ(lint_fixture("bad_multiline_decls.cpp"), expected);
+  // A declaration split across lines is one token run, so its name is
+  // captured.
+  EXPECT_EQ(analyze_fixture("bad_multiline_decls.cpp"), golden("bad_multiline_decls.cpp"));
+  EXPECT_NE(fixture_message("bad_multiline_decls.cpp", 22).find("'ranks_by_owner'"),
+            std::string::npos);
 }
 
 TEST(Lint, LockLongScopeFixture) {
-  // Both the lock-scope and range-for body scans used to stop 60 lines in;
-  // real brace tracking carries them to the end of the scope.
-  const Golden expected = {{87, "lock-across-wire"}, {93, "unordered-wire"}};
-  EXPECT_EQ(lint_fixture("bad_lock_long_scope.cpp"), expected);
-}
-
-// =========================================================================
-// cyclops-analyze: the token engine (tools/analyze/)
-// =========================================================================
-
-namespace az = cyclops::analyze;
-
-std::string fixture_path(const std::string& name) {
-  return std::string(CYCLOPS_LINT_FIXTURE_DIR) + "/" + name;
-}
-
-/// Analyzes one fixture with the token engine (per-file passes only) and
-/// returns sorted (line, rule) pairs.
-Golden analyze_fixture(const std::string& name) {
-  const std::string path = fixture_path(name);
-  Golden got;
-  for (const az::Finding& f : az::analyze_file(path, slurp(path))) {
-    got.emplace_back(f.line, f.rule);
-  }
-  std::sort(got.begin(), got.end());
-  return got;
+  // The lock-scope and range-for body scans run to the end of the scope by
+  // real brace tracking, however long it is.
+  EXPECT_EQ(analyze_fixture("bad_lock_long_scope.cpp"), golden("bad_lock_long_scope.cpp"));
+  EXPECT_NE(fixture_message("bad_lock_long_scope.cpp", 87).find("lock taken at line 20"),
+            std::string::npos);
 }
 
 // --- lexer ----------------------------------------------------------------
-
 TEST(AnalyzeLexer, TokensCarryKindsAndDepths) {
   const az::LexedFile lf = az::lex("int f(int a) {\n  return g(a);\n}\n");
   ASSERT_GE(lf.tokens.size(), 12u);
@@ -408,44 +409,33 @@ TEST(AnalyzeLexer, MatchAngleSplitsShiftAndStopsAtSemicolon) {
   EXPECT_EQ(az::match_angle(lf.tokens, cmp), lf.tokens.size());
 }
 
-// --- the 8 ported rules: fixture goldens + parity with the line scanner ---
-
-Golden analyze_fixture_shared_rules(const std::string& name) {
-  // Restrict to the 8 rules both engines implement, so fixtures can be
-  // parity-checked even when the token engine adds its own findings.
-  static const std::vector<std::string> kShared = {
-      "determinism",       "unordered-wire",        "raw-thread",
-      "wire-narrowing",    "lock-across-wire",      "csr-outside-graph",
-      "outbox-outside-runtime", "delta-outside-ingest"};
-  Golden got;
-  for (const auto& [line, rule] : analyze_fixture(name)) {
-    if (std::find(kShared.begin(), kShared.end(), rule) != kShared.end()) {
-      got.emplace_back(line, rule);
-    }
-  }
-  return got;
-}
+// --- the 8 token rules: fixture goldens through the multi-file driver ----
 
 TEST(AnalyzeParity, BothEnginesAgreeOnEverySharedFixture) {
-  for (const char* name :
-       {"bad_determinism.cpp", "bad_unordered_wire.cpp", "bad_raw_thread.cpp",
-        "bad_narrowing.cpp", "bad_lock_across_wire.cpp",
-        "bad_csr_outside_graph.cpp", "bad_outbox_escape.cpp",
-        "bad_delta_escape.cpp", "bad_multiline_decls.cpp",
-        "bad_lock_long_scope.cpp", "clean.cpp"}) {
-    EXPECT_EQ(analyze_fixture_shared_rules(name), lint_fixture(name))
-        << "engines disagree on " << name;
+  // One analyze_files call over every golden fixture must report exactly the
+  // union of the per-file goldens: the multi-file driver neither adds nor
+  // drops findings.
+  std::vector<az::SourceFile> files;
+  std::vector<std::tuple<std::string, int, std::string>> expected;
+  for (const auto& [name, lines] : fixture_goldens()) {
+    const std::string path = fixture_path(name);
+    files.push_back(az::SourceFile{path, slurp(path)});
+    for (const auto& [line, rule] : lines) expected.emplace_back(path, line, rule);
   }
+  std::vector<std::tuple<std::string, int, std::string>> got;
+  for (const az::Finding& f : az::analyze_files(files)) {
+    got.emplace_back(f.file, f.line, f.rule);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(got, expected);
 }
 
 TEST(Analyze, MultilineDeclsFixture) {
-  const Golden expected = {{22, "unordered-wire"}, {30, "delta-outside-ingest"}};
-  EXPECT_EQ(analyze_fixture("bad_multiline_decls.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_multiline_decls.cpp"), golden("bad_multiline_decls.cpp"));
 }
 
 TEST(Analyze, LockLongScopeFixture) {
-  const Golden expected = {{87, "lock-across-wire"}, {93, "unordered-wire"}};
-  EXPECT_EQ(analyze_fixture("bad_lock_long_scope.cpp"), expected);
+  EXPECT_EQ(analyze_fixture("bad_lock_long_scope.cpp"), golden("bad_lock_long_scope.cpp"));
 }
 
 TEST(Analyze, CleanFixtureHasZeroFindings) {
@@ -609,21 +599,29 @@ TEST(AnalyzeInclude, RealTreeLayersAreClean) {
 
 TEST(AnalyzeSuppression, SameLineAndLineAbove) {
   const std::string same_line =
-      "long t = time(nullptr);  // cyclops-lint: allow(determinism)\n";
+      "long t = time(nullptr);  // cyclops-analyze: allow(determinism)\n";
   EXPECT_TRUE(az::analyze_file("x.cpp", same_line).empty());
 
   const std::string line_above =
-      "// cyclops-lint: allow(determinism)\n"
+      "// cyclops-analyze: allow(determinism)\n"
       "long t = time(nullptr);\n"
       "long u = time(nullptr);\n";
   const auto findings = az::analyze_file("x.cpp", line_above);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 3);  // only the marker-adjacent line is covered
+
+  // The retired marker spelling is not a marker and suppresses nothing.
+  const std::string old_spelling =
+      "long t = time(nullptr);  // cyclops-lint: allow(determinism)\n";
+  const auto unsuppressed = az::analyze_file("x.cpp", old_spelling);
+  ASSERT_EQ(unsuppressed.size(), 1u);
+  EXPECT_EQ(unsuppressed[0].rule, "determinism");
 }
 
 TEST(AnalyzeSuppression, AnalyzeSpelledMarkerWorksToo) {
+  // The marker is found on the raw line, so a block comment carries it too.
   const std::string body =
-      "long t = time(nullptr);  // cyclops-analyze: allow(determinism)\n";
+      "long t = time(nullptr);  /* cyclops-analyze: allow(determinism) */\n";
   EXPECT_TRUE(az::analyze_file("x.cpp", body).empty());
 }
 
@@ -632,7 +630,7 @@ TEST(AnalyzeSuppression, UnknownRuleMarkerIsItselfAFinding) {
   // raw-line marker scan when the analyzer runs over this file, so the line
   // carries a real allow(bad-suppression) acknowledging it.
   const std::string body =  // cyclops-analyze: allow(bad-suppression)
-      "long t = time(nullptr);  // cyclops-lint: allow(determinsm)\n";
+      "long t = time(nullptr);  // cyclops-analyze: allow(determinsm)\n";
   const auto findings = az::analyze_file("x.cpp", body);
   // The typoed marker suppresses nothing AND is flagged as bad-suppression.
   ASSERT_EQ(findings.size(), 2u);
@@ -644,7 +642,7 @@ TEST(AnalyzeSuppression, DocumentationPlaceholderIsIgnored) {
   // `allow(<rule>)` in prose must neither suppress nor fire bad-suppression:
   // `<` is not a rule-name character, so it is not a marker at all.
   const std::string body =
-      "// suppress with: cyclops-lint: allow(<rule>)\n"
+      "// suppress with: cyclops-analyze: allow(<rule>)\n"
       "int x = 0;\n";
   EXPECT_TRUE(az::analyze_file("x.cpp", body).empty());
 }
@@ -770,7 +768,7 @@ TEST(AnalyzeDriver, RepoRelativeNormalizesPrefixes) {
   EXPECT_EQ(az::repo_relative("/ci/checkout/src/cyclops/x.hpp"),
             "src/cyclops/x.hpp");
   EXPECT_EQ(az::repo_relative("src/cyclops/x.hpp"), "src/cyclops/x.hpp");
-  EXPECT_EQ(az::repo_relative("tools/lint_core.hpp"), "tools/lint_core.hpp");
+  EXPECT_EQ(az::repo_relative("tools/analyze/model.hpp"), "tools/analyze/model.hpp");
   EXPECT_EQ(az::repo_relative("../repo/tests/test_lint.cpp"),
             "tests/test_lint.cpp");
 }

@@ -1,6 +1,6 @@
 // Wire-determinism regression: the traffic a seeded workload puts on the
 // simulated fabric must be bit-identical across runs — content AND ordering.
-// This is the runtime twin of cyclops-lint's `unordered-wire` rule: the BSP
+// This is the runtime twin of cyclops-analyze's `unordered-wire` rule: the BSP
 // combiner used to drain its unordered_map straight onto the wire, which
 // produced correct ranks but hash-order packages; Fabric::wire_digest()
 // (an order-sensitive fold of every delivered package's src/dst/count/CRC)

@@ -1,12 +1,12 @@
 #pragma once
 // Shared C++ token lexer for cyclops-analyze (tools/cyclops_analyze.cpp).
 //
-// This replaces lint_core.hpp's per-line `code_only` scans with a real token
-// stream: string literals (ordinary, char, and raw with encoding prefixes),
-// line and block comments, multi-character punctuators, and preprocessor
-// directives are all lexed properly, and every token carries the brace/paren
-// depth it was seen at. That is what lets the passes layered on top do the
-// things the line scanner structurally could not:
+// A real token stream rather than per-line text scans: string literals
+// (ordinary, char, and raw with encoding prefixes), line and block comments,
+// multi-character punctuators, and preprocessor directives are all lexed
+// properly, and every token carries the brace/paren depth it was seen at.
+// That is what lets the passes layered on top do the things a line scanner
+// structurally could not:
 //
 //   * multi-line declarations (an `unordered_map<K,\n V> name` split across
 //     lines is one token run, not two unrelated lines),
@@ -134,7 +134,7 @@ inline LexedFile lex(std::string_view content) {
 
     // Preprocessor directive at start of line: extract #include, then lex the
     // rest of the directive as ordinary tokens (rules still see e.g. #define
-    // bodies, which the line scanner also saw).
+    // bodies).
     if (c == '#' && line_fresh) {
       std::size_t j = i + 1;
       while (j < n && (content[j] == ' ' || content[j] == '\t')) ++j;

@@ -1,23 +1,45 @@
 #pragma once
-// Core data model for cyclops-analyze: findings, the rule registry, and the
-// per-file unit (token stream + raw lines + suppression markers) every pass
-// consumes. Path classification is shared with the legacy line scanner
-// (lint_core.hpp) so both engines agree on which directories exempt which
-// rules — that agreement is what the parity tests in tests/test_lint.cpp
-// assert.
+// Core data model for cyclops-analyze: findings, the rule registry, the
+// path classes that exempt directories from rules, and the per-file unit
+// (token stream + raw lines + suppression markers) every pass consumes.
 
 #include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "../lint_core.hpp"
 #include "lexer.hpp"
 
 namespace cyclops::analyze {
 
-using lint::FileClass;
-using lint::classify_path;
+struct FileClass {
+  bool in_common = false;   ///< under common/: raw primitives are allowed here
+  bool in_graph = false;    ///< under graph/: the one home of concrete stores
+  bool in_runtime = false;  ///< under runtime/: owns the logged send path
+  bool in_sim = false;      ///< under sim/: owns the fabric itself
+  bool in_core = false;     ///< under core/: TopologyDelta's own home
+  bool in_ingest = false;   ///< under ingest/: owns the batching front door
+  bool in_tests = false;    ///< under tests/: exercises concrete layers
+};
+
+[[nodiscard]] inline FileClass classify_path(std::string_view path) {
+  const auto under = [path](std::string_view dir) {
+    return path.find(std::string(dir) + '/') != std::string_view::npos ||
+           path.find(std::string(dir) + '\\') != std::string_view::npos;
+  };
+  FileClass fc;
+  fc.in_common = under("common");
+  fc.in_graph = under("graph");
+  fc.in_runtime = under("runtime");
+  fc.in_sim = under("sim");
+  fc.in_core = under("core");
+  fc.in_ingest = under("ingest");
+  // Tests verify the concrete layers directly (test_graph_store.cpp *is*
+  // the Csr/CompactCsr test), so the ownership rules do not apply to them —
+  // but lint_fixtures/ simulate engine code and stay fully checked.
+  fc.in_tests = under("tests") && path.find("lint_fixtures") == std::string_view::npos;
+  return fc;
+}
 
 struct Finding {
   std::string file;
@@ -45,8 +67,8 @@ struct RuleInfo {
   std::string_view summary;
 };
 
-/// Registry of every rule the analyzer can emit: the 8 rules ported from the
-/// line scanner, the two new passes, and the marker validator. SARIF output
+/// Registry of every rule the analyzer can emit: the 8 token rules, the
+/// include and frozen-view passes, and the marker validator. SARIF output
 /// and `--rules` both render from here; allow() markers are validated
 /// against it.
 inline constexpr RuleInfo kRules[] = {
@@ -80,7 +102,7 @@ inline constexpr RuleInfo kRules[] = {
 }
 
 /// A suppression marker found on a raw source line:
-/// `cyclops-lint: allow(<rule>)` or `cyclops-analyze: allow(<rule>)`.
+/// `cyclops-analyze: allow(<rule>)`.
 struct AllowMarker {
   int line = 0;  // 1-based
   std::string rule;
@@ -97,19 +119,16 @@ namespace detail {
 /// placeholder `allow(<rule>)`) is ignored rather than rejected.
 inline void scan_markers(std::string_view line, int line_no,
                          std::vector<AllowMarker>& out) {
-  for (const std::string_view prefix :
-       {std::string_view("cyclops-lint: allow("),
-        std::string_view("cyclops-analyze: allow(")}) {
-    std::size_t pos = 0;
-    while ((pos = line.find(prefix, pos)) != std::string_view::npos) {
-      const std::size_t start = pos + prefix.size();
-      std::size_t end = start;
-      while (end < line.size() && rule_name_char(line[end])) ++end;
-      if (end > start && end < line.size() && line[end] == ')') {
-        out.push_back(AllowMarker{line_no, std::string(line.substr(start, end - start))});
-      }
-      pos = start;
+  constexpr std::string_view kPrefix = "cyclops-analyze: allow(";
+  std::size_t pos = 0;
+  while ((pos = line.find(kPrefix, pos)) != std::string_view::npos) {
+    const std::size_t start = pos + kPrefix.size();
+    std::size_t end = start;
+    while (end < line.size() && rule_name_char(line[end])) ++end;
+    if (end > start && end < line.size() && line[end] == ')') {
+      out.push_back(AllowMarker{line_no, std::string(line.substr(start, end - start))});
     }
+    pos = start;
   }
 }
 
@@ -151,7 +170,7 @@ class FileUnit {
   }
 
   /// True when `rule` is allowed on `line` (marker on the same line or the
-  /// line above) — the same semantics the legacy scanner has always had.
+  /// line above).
   [[nodiscard]] bool suppressed(int line, std::string_view rule) const {
     for (const AllowMarker& m : markers_) {
       if (m.rule == rule && (m.line == line || m.line + 1 == line)) return true;

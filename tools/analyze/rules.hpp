@@ -1,8 +1,25 @@
 #pragma once
-// The 8 repo-invariant rules, ported from lint_core.hpp's line scanner onto
-// the token stream (lexer.hpp). Semantics are the same — the parity tests in
-// tests/test_lint.cpp assert identical findings on the shared fixtures — but
-// the structural blind spots are gone:
+// The 8 repo-invariant rules over the token stream (lexer.hpp). Each is a
+// textual discipline this repo keeps so simulated runs stay bit-deterministic
+// and the concurrency surface stays auditable:
+//
+//   determinism      rand()/srand()/time()/std::random_device — randomness
+//                    flows from seeded std::mt19937 instances only.
+//   unordered-wire   iterating an unordered_{map,set} in a loop that feeds
+//                    the wire lets hash order decide wire layout.
+//   raw-thread       std::thread/mutex/condition_variable outside common/ —
+//                    raw primitives live behind common/sync.hpp.
+//   wire-narrowing   an 8/16-bit cast on a wire call truncates the value.
+//   lock-across-wire a wire call while a lock may still be held serializes
+//                    wire traffic behind host contention (§2.2.2).
+//   csr-outside-graph  the concrete graph::Csr named above the graph layer,
+//                    which must go through the GraphStore interface.
+//   outbox-outside-runtime  fabric.outbox() outside runtime/ and sim/
+//                    bypasses SyncChannel, so the message log misses it.
+//   delta-outside-ingest  TopologyDelta::apply() outside core/ and ingest/
+//                    bypasses batched epoch publication.
+//
+// Working on tokens rather than lines:
 //
 //   * declaration capture (unordered-wire ident sets, TopologyDelta idents,
 //     frozen-view bindings) works across line breaks, because a declaration
@@ -132,7 +149,7 @@ inline constexpr std::string_view kGuardIdents[] = {
 
 }  // namespace rules_detail
 
-/// Runs the 8 ported rules over one file's token stream.
+/// Runs the 8 token rules over one file's token stream.
 inline void run_token_rules(const FileUnit& u, std::vector<Finding>& out) {
   namespace rd = rules_detail;
   const std::vector<Token>& toks = u.tokens();
@@ -141,7 +158,7 @@ inline void run_token_rules(const FileUnit& u, std::vector<Finding>& out) {
   const std::unordered_set<std::string> unordered = rd::unordered_idents(toks);
   const std::unordered_set<std::string> deltas = rd::delta_idents(toks);
 
-  // Per-line dedup mirrors the line scanner's one-finding-per-line shape.
+  // At most one finding per rule and line.
   std::unordered_set<int> det_lines, thread_lines, csr_lines, narrow_lines;
   std::unordered_set<int> wire_under_lock;  // lines already attributed
 
@@ -213,7 +230,7 @@ inline void run_token_rules(const FileUnit& u, std::vector<Finding>& out) {
     }
 
     // wire-narrowing: a narrowing static_cast on the same line as a wire
-    // call (the line is the unit of co-occurrence, as in the line scanner).
+    // call (the line is the unit of co-occurrence).
     if (rd::is_ident(t, "static_cast") && i + 1 < toks.size() &&
         rd::is_punct(toks[i + 1], "<") && !narrow_lines.count(line)) {
       const std::size_t close = match_angle(toks, i + 1);

@@ -1,9 +1,8 @@
 // cyclops-analyze — token-level multi-pass static analyzer for the repo's
-// architecture and phase/ownership disciplines. Successor to cyclops-lint:
-// same 8 repo-invariant rules, now on a real token stream (multi-line
-// declarations, true brace scopes), plus the include-layering DAG pass,
-// file-granularity include cycle detection, and the static frozen-view pass
-// mirroring the CYCLOPS_VERIFY EngineChecker.
+// architecture and phase/ownership disciplines: 8 repo-invariant rules on a
+// real token stream (multi-line declarations, true brace scopes), plus the
+// include-layering DAG pass, file-granularity include cycle detection, and
+// the static frozen-view pass mirroring the CYCLOPS_VERIFY EngineChecker.
 //
 //   cyclops-analyze [options] <path>...   analyze files / recurse directories
 //     --rules              list rules and exit
@@ -13,12 +12,13 @@
 //     --write-baseline=FILE  write current findings to FILE and exit 0
 //     --budget-ms=N        fail (exit 3) when analysis wall time exceeds N
 //
-// Exit codes: 0 clean, 1 unbaselined findings, 2 usage/IO error, 3 budget
+// Exit codes: 0 clean, 1 unbaselined findings, 2 usage/IO error (including
+// a --jobs/--budget-ms value that is not a non-negative integer), 3 budget
 // exceeded. Text findings print as `file:line: [rule] message` in path
-// order, like cyclops-lint. The ctest gate `analyze_tree` runs this binary
-// over src/ tools/ tests/ with the checked-in tools/analyze_baseline.txt and
-// a runtime budget, so the analyzer stays both clean and fast enough to run
-// on every PR.
+// order. The ctest gate `analyze_tree` runs this binary over src/ tools/
+// tests/ with the checked-in tools/analyze_baseline.txt and a runtime
+// budget, so the analyzer stays both clean and fast enough to run on every
+// PR.
 
 #include <chrono>
 #include <cstdio>
@@ -75,8 +75,8 @@ void print_rules() {
                 static_cast<int>(r.summary.size()), r.summary.data());
   }
   std::printf(
-      "\nsuppress with: // cyclops-lint: allow(<rule>)   (same line or line "
-      "above;\n  cyclops-analyze: allow(<rule>) is accepted too)\n"
+      "\nsuppress with: // cyclops-analyze: allow(<rule>)   (same line or "
+      "line above)\n"
       "baseline: --baseline=FILE with lines `path:line: [rule]`\n");
 }
 
@@ -84,6 +84,21 @@ bool parse_flag(const char* arg, const char* name, std::string& value) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   value = arg + n + 1;
+  return true;
+}
+
+/// `--name=N` as a non-negative integer; the whole value must parse, so
+/// `--budget-ms=abc` cannot silently become 0 (no budget).
+bool parse_count(const char* arg, const char* name, long& out) {
+  std::string value;
+  if (!parse_flag(arg, name, value)) return false;
+  char* end = nullptr;
+  out = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || out < 0) {
+    std::fprintf(stderr, "cyclops-analyze: invalid value '%s' for %s\n",
+                 value.c_str(), name);
+    std::exit(2);  // NOLINT(concurrency-mt-unsafe) — parse-time fail path
+  }
   return true;
 }
 
@@ -104,10 +119,7 @@ int main(int argc, char** argv) {
       print_rules();
       return 0;
     }
-    if (parse_flag(argv[i], "--jobs", value)) {
-      jobs = std::strtol(value.c_str(), nullptr, 10);
-      continue;
-    }
+    if (parse_count(argv[i], "--jobs", jobs)) continue;
     if (parse_flag(argv[i], "--sarif", value)) {
       sarif_path = value;
       continue;
@@ -120,10 +132,7 @@ int main(int argc, char** argv) {
       write_baseline_path = value;
       continue;
     }
-    if (parse_flag(argv[i], "--budget-ms", value)) {
-      budget_ms = std::strtol(value.c_str(), nullptr, 10);
-      continue;
-    }
+    if (parse_count(argv[i], "--budget-ms", budget_ms)) continue;
     if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "cyclops-analyze: unknown option %s\n", arg.c_str());
       return 2;
@@ -158,7 +167,7 @@ int main(int argc, char** argv) {
   }
 
   cyclops::analyze::AnalyzeOptions opt;
-  opt.jobs = jobs < 0 ? 1 : static_cast<std::size_t>(jobs);
+  opt.jobs = static_cast<std::size_t>(jobs);
   std::vector<cyclops::analyze::Finding> findings =
       cyclops::analyze::analyze_files(files, opt);
 
