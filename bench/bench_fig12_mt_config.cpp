@@ -43,7 +43,7 @@ ConfigResult run_config(const graph::Csr& g, MachineId machines, WorkerId wpm,
   char label[48];
   std::snprintf(label, sizeof(label), "%ux%ux%u/%u", machines, wpm, threads, receivers);
   r.label = label;
-  r.syn_s = phases.syn_s + stats.modeled_barrier_s();
+  r.syn_s = stats.modeled_barrier_s();
   r.cmp_s = phases.cmp_s;
   r.snd_s = phases.snd_s + stats.modeled_wire_s();
   r.total_s = stats.total_time_s();

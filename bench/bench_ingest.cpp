@@ -87,12 +87,6 @@ struct IncrementalRow {
   }
 };
 
-/// Modeled run time: simulated phase work + modeled wire/barrier cost.
-/// (Not elapsed_s — that is host wall time and accumulates noise.)
-double modeled_run_s(const metrics::RunStats& run) {
-  return run.phase_totals().total_s() + run.modeled_comm_total_s();
-}
-
 /// Locality-preserving mutation trace for the road grid: diagonal-shortcut
 /// adds at random cells, weighted like roughly one lattice hop so each
 /// improvement wavefront stays regional, plus a fraction of removals drawn
@@ -198,7 +192,7 @@ IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
     const ingest::EpochAdvance adv = inc.advance(snap, delta);
     row.inc_supersteps += adv.run.supersteps.size();
     row.inc_messages += adv.run.net_totals().total_messages();
-    row.inc_modeled_s += modeled_run_s(adv.run);
+    row.inc_modeled_s += adv.run.total_time_s();
     row.reset_vertices += adv.reset_vertices;
     row.activated_vertices += adv.activated_vertices;
 
@@ -206,7 +200,7 @@ IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
     const metrics::RunStats cs = cold.cold_run();
     row.cold_supersteps += cs.supersteps.size();
     row.cold_messages += cs.net_totals().total_messages();
-    row.cold_modeled_s += modeled_run_s(cs);
+    row.cold_modeled_s += cs.total_time_s();
     ++row.epochs;
   });
   for (const ingest::MutationOp& op : trace) ingestor.offer(op);

@@ -20,6 +20,7 @@
 // `Message combine(Message, Message) const` enables the Hama combiner.
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <span>
@@ -28,10 +29,8 @@
 
 #include "cyclops/common/bitset.hpp"
 #include "cyclops/common/check.hpp"
-#include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
 #include "cyclops/common/spinlock.hpp"
-#include "cyclops/common/timer.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/metrics/memory_model.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
@@ -73,7 +72,7 @@ template <typename Program>
 class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   using Shell = runtime::EngineShell<Engine<Program>, Config>;
   friend Shell;
-  using Shell::acct_, Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+  using Shell::acct_, Shell::config_, Shell::fabric_, Shell::ledger_, Shell::pool_, Shell::vcheck_;
 
  public:
   using Value = typename Program::Value;
@@ -339,21 +338,12 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
 
   bool run_superstep(metrics::SuperstepStats& step) {
     const WorkerId workers = part_.num_parts();
+    // Each worker is one ledger executor; it charges its counted work x
+    // per-op rates at the end of each phase task.
     const sim::SoftwareModel& sw = kSoftware;
-
-    // Per-worker work counters; phase time = max over workers of the
-    // worker's deterministic operation count x per-op rate (the perfectly
-    // overlapped parallel wall time — see sim/software_model.hpp).
-    std::vector<std::uint64_t> parsed(workers, 0);
-    std::vector<std::uint64_t> computed(workers, 0);
-    std::vector<std::uint64_t> consumed(workers, 0);  // messages read in compute
-    std::vector<std::uint64_t> emitted(workers, 0);
-    std::vector<std::uint64_t> delivered(workers, 0);
-    auto max_of = [](const std::vector<std::uint64_t>& v) {
-      std::uint64_t m = 0;
-      for (auto x : v) m = std::max(m, x);
-      return m;
-    };
+    const double per_parse_us = sw.msg_parse_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us;
+    const double per_emit_us = sw.msg_serialize_us + sizeof(WireRecord) * sw.msg_byte_us;
+    const double per_deliver_us = sw.msg_deliver_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us;
 
     // --- PRS: parse the global in-queue into per-vertex mailboxes and
     // activate recipients. ---
@@ -365,7 +355,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         // with any unordered enqueue still in flight from the exchange.
         vcheck_.on_queue_access(static_cast<WorkerId>(w), static_cast<WorkerId>(w),
                                 /*is_write=*/true, CYCLOPS_VLOC);
-        parsed[w] = queue.size();
+        ledger_.charge_parse(w, static_cast<double>(queue.size()) * per_parse_us);
         for (const WireRecord& rec : queue) {
           vcheck_.on_master_stage(static_cast<WorkerId>(w), static_cast<WorkerId>(w),
                                   rec.dst, CYCLOPS_VLOC);
@@ -380,21 +370,21 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         queue.shrink_to_fit();
       });
     }
-    step.phases.prs_s = static_cast<double>(max_of(parsed)) *
-                        (sw.msg_parse_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us) * 1e-6;
 
     // --- CMP: run compute on active vertices. ---
+    std::atomic<std::uint64_t> active{0};
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kCompute);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
+        std::uint64_t computed = 0, consumed = 0;  // consumed: messages read
         for (VertexId v : local_vertices_[w]) {
           if (!active_.test(v)) continue;
           Context ctx(*this, static_cast<WorkerId>(w), v);
           vcheck_.on_mailbox_read(static_cast<WorkerId>(w), static_cast<WorkerId>(w), v,
                                   CYCLOPS_VLOC);
           program_.compute(ctx, std::span<const Message>(mailbox_[v]));
-          ++computed[w];
-          consumed[w] += mailbox_[v].size();
+          ++computed;
+          consumed += mailbox_[v].size();
           if (ctx.voted_halt()) {
             halted_.set(v);
             active_.clear(v);
@@ -405,21 +395,14 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
             std::vector<Message>().swap(mailbox_[v]);
           }
         }
+        active += computed;
+        ledger_.charge_compute(
+            w, static_cast<double>(computed) * sw.vertex_op_us * sim::vertex_op_weight<Program>() +
+                   static_cast<double>(consumed) * sw.edge_op_us * sim::edge_op_weight<Program>());
       });
     }
-    for (auto c : computed) step.active_vertices += c;
+    step.active_vertices = active;
     step.computed_vertices = step.active_vertices;
-    {
-      double cmp_max = 0;
-      for (WorkerId w = 0; w < workers; ++w) {
-        const double us =
-            static_cast<double>(computed[w]) * sw.vertex_op_us *
-                sim::vertex_op_weight<Program>() +
-            static_cast<double>(consumed[w]) * sw.edge_op_us * sim::edge_op_weight<Program>();
-        cmp_max = std::max(cmp_max, us);
-      }
-      step.phases.cmp_s = cmp_max * 1e-6;
-    }
 
     // --- SND: batch staged messages onto the wire through the typed sync
     // channel (one reserve per destination, one append per record), exchange,
@@ -430,6 +413,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       pool_.parallel_tasks(workers, [&](std::size_t w) {
         auto sender =
             Channel::sender(fabric_, static_cast<WorkerId>(w), 0, &vcheck_, CYCLOPS_VLOC);
+        std::uint64_t emitted = 0;
         for (WorkerId to = 0; to < workers; ++to) {
           StageBucket& bucket = staged_[w][to];
           const std::size_t n = bucket.combined.size() + bucket.records.size();
@@ -452,8 +436,9 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           }
           for (const WireRecord& rec : bucket.records) sender.send(to, rec);
           bucket.records.clear();
-          emitted[w] += n;
+          emitted += n;
         }
+        ledger_.charge_send(w, static_cast<double>(emitted) * per_emit_us);
       });
     }
     for (auto& r : redundant_acc_) {
@@ -466,6 +451,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(workers, [&](std::size_t w) {
+        std::uint64_t delivered = 0;
         Channel::drain(fabric_, static_cast<WorkerId>(w), [&](const WireRecord& rec) {
           inqueue_locks_[w].lock();
           // Stamped inside the critical section: the SpinLock's release/
@@ -475,20 +461,15 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
                                   /*is_write=*/true, CYCLOPS_VLOC);
           inqueue_[w].push_back(rec);
           inqueue_locks_[w].unlock();
-          ++delivered[w];
+          ++delivered;
         });
+        ledger_.charge_receive(w, static_cast<double>(delivered) * per_deliver_us);
       });
     }
-    const double per_emit_us = sw.msg_serialize_us + sizeof(WireRecord) * sw.msg_byte_us;
-    const double per_deliver_us =
-        sw.msg_deliver_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us;
-    step.phases.snd_s = (static_cast<double>(max_of(emitted)) * per_emit_us +
-                         static_cast<double>(max_of(delivered)) * per_deliver_us) *
-                        1e-6;
 
-    // --- SYN: merge aggregators, decide termination. ---
+    // --- SYN: merge aggregators, decide termination. Its modeled time is the
+    // exchange's barrier. ---
     verify::PhaseScope syn_scope(vcheck_, verify::Phase::kSync);
-    Timer syn_timer;
     double err_sum = 0;
     std::uint64_t err_count = 0;
     for (WorkerAgg& agg : worker_agg_) {
@@ -503,7 +484,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       any_pending = !inqueue_[w].empty();
     }
     const bool any_active = active_.any();
-    step.phases.syn_s = syn_timer.elapsed_s();
     step.converged_vertices = halted_.count();
     return !any_pending && !any_active;
   }

@@ -30,13 +30,4 @@ double timed_executors(ThreadPool& pool, std::size_t executors,
   return *std::max_element(times.begin(), times.end());
 }
 
-double timed_chunks(ThreadPool& pool, std::size_t n, std::size_t executors,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (executors == 0 || n == 0) return 0.0;
-  return timed_executors(pool, executors, [&](std::size_t i) {
-    const ChunkRange r = chunk_range(n, executors, i);
-    if (r.begin < r.end) fn(r.begin, r.end);
-  });
-}
-
 }  // namespace cyclops

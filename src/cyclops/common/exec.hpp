@@ -1,10 +1,8 @@
 #pragma once
-// Simulated-parallel execution helper. The evaluation cluster has 72 hardware
-// threads; this host may have one. Engines therefore time each simulated
-// executor (worker, or compute thread within a worker) separately and report
-// the *maximum* executor time as the phase's parallel wall time — exactly
-// what a perfectly-overlapped cluster run would measure, minus contention,
-// which the engines model explicitly where the paper says it matters.
+// Simulated-executor helpers. Engines split a worker's masters (or packages)
+// across its simulated compute/receiver threads with chunk_range; their phase
+// times are modeled per executor (runtime/phase_ledger.hpp), not timed.
+// timed_executors measures host time per executor and keeps the slowest.
 
 #include <cstddef>
 #include <functional>
@@ -18,16 +16,12 @@ namespace cyclops {
 double timed_executors(ThreadPool& pool, std::size_t executors,
                        const std::function<void(std::size_t)>& fn);
 
-/// Splits [0, n) into `executors` contiguous chunks, runs fn(begin, end) per
-/// chunk, and returns the maximum per-chunk wall time in seconds.
-double timed_chunks(ThreadPool& pool, std::size_t n, std::size_t executors,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// Chunk boundaries used by timed_chunks (exposed for deterministic tests).
 struct ChunkRange {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
+/// Splits [0, n) into `chunks` contiguous, near-equal ranges; returns the
+/// `index`-th.
 [[nodiscard]] ChunkRange chunk_range(std::size_t n, std::size_t chunks, std::size_t index);
 
 }  // namespace cyclops

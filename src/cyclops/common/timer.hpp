@@ -1,5 +1,6 @@
 #pragma once
-// Wall-clock timing helpers used for phase breakdowns.
+// Host wall-clock timer for ingress, store builds and benchmarks. Engine
+// phase times are modeled, not timed (runtime/phase_ledger.hpp).
 
 #include <chrono>
 
@@ -9,32 +10,14 @@ class Timer {
  public:
   Timer() noexcept : start_(Clock::now()) {}
 
-  void reset() noexcept { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last reset().
+  /// Seconds elapsed since construction.
   [[nodiscard]] double elapsed_s() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] double elapsed_us() const noexcept { return elapsed_s() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed seconds into a double on destruction — used to
-/// attribute time to a named phase (CMP/SND/PRS/SYN).
-class ScopedAccum {
- public:
-  explicit ScopedAccum(double& sink) noexcept : sink_(sink) {}
-  ScopedAccum(const ScopedAccum&) = delete;
-  ScopedAccum& operator=(const ScopedAccum&) = delete;
-  ~ScopedAccum() { sink_ += timer_.elapsed_s(); }
-
- private:
-  double& sink_;
-  Timer timer_;
 };
 
 }  // namespace cyclops

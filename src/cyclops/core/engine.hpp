@@ -25,6 +25,7 @@
 //   };
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <span>
@@ -34,7 +35,6 @@
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
-#include "cyclops/common/timer.hpp"
 #include "cyclops/core/layout.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/metrics/memory_model.hpp"
@@ -94,7 +94,7 @@ template <typename Program>
 class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   using Shell = runtime::EngineShell<Engine<Program>, Config>;
   friend Shell;
-  using Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+  using Shell::config_, Shell::fabric_, Shell::ledger_, Shell::pool_, Shell::vcheck_;
 
  public:
   using Value = typename Program::Value;
@@ -188,7 +188,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   Engine(const graph::GraphStore& g, const partition::EdgeCutPartition& part, Program program,
          Config config)
       : Shell(config, g.message_budget_bytes(),
-              /*lanes=*/std::max(1u, config.compute_threads)),
+              /*lanes=*/std::max(1u, config.compute_threads),
+              /*executors=*/std::max({1u, config.compute_threads, config.receiver_threads})),
         graph_(&g),
         program_(std::move(program)) {
     CYCLOPS_CHECK(part.num_parts() == config_.topo.total_workers());
@@ -532,12 +533,13 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     const unsigned R = std::max(1u, config_.receiver_threads);
 
     const sim::SoftwareModel& sw = kSoftware;
+    const double per_emit_us = sw.msg_serialize_us + sizeof(WireRecord) * sw.msg_byte_us;
+    const double per_deliver_us = sw.msg_deliver_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us;
 
     // --- CMP: active masters compute over the immutable view, chunked
-    // across the worker's simulated compute threads. Deterministic time:
-    // max over (worker, thread) chunks of counted work x per-op rates. ---
-    std::vector<std::uint64_t> computed(static_cast<std::size_t>(workers) * T, 0);
-    std::vector<std::uint64_t> scanned(static_cast<std::size_t>(workers) * T, 0);
+    // across the worker's simulated compute threads; each (worker, thread)
+    // chunk is one ledger executor. ---
+    std::atomic<std::uint64_t> active{0};
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kCompute);
       pool_.parallel_tasks(static_cast<std::size_t>(workers) * T, [&](std::size_t e) {
@@ -545,27 +547,21 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         const unsigned t = static_cast<unsigned>(e % T);
         const WorkerLayout& wl = layout_.workers[w];
         const ChunkRange r = chunk_range(wl.num_masters(), T, t);
+        std::uint64_t computed = 0, scanned = 0;
         for (std::size_t i = r.begin; i < r.end; ++i) {
           if (!config_.force_all_active && !cur_active_[w].test(i)) continue;
           Context ctx(*this, w, static_cast<std::uint32_t>(i));
           program_.compute(ctx);
-          ++computed[e];
-          scanned[e] += wl.in_offsets[i + 1] - wl.in_offsets[i];
+          ++computed;
+          scanned += wl.in_offsets[i + 1] - wl.in_offsets[i];
         }
+        active += computed;
+        ledger_.charge_compute(
+            e, static_cast<double>(computed) * sw.vertex_op_us * sim::vertex_op_weight<Program>() +
+                   static_cast<double>(scanned) * sw.edge_op_us * sim::edge_op_weight<Program>());
       });
     }
-    {
-      double cmp_max = 0;
-      for (std::size_t e = 0; e < computed.size(); ++e) {
-        step.active_vertices += computed[e];
-        const double us =
-            static_cast<double>(computed[e]) * sw.vertex_op_us *
-                sim::vertex_op_weight<Program>() +
-            static_cast<double>(scanned[e]) * sw.edge_op_us * sim::edge_op_weight<Program>();
-        cmp_max = std::max(cmp_max, us);
-      }
-      step.phases.cmp_s = cmp_max * 1e-6;
-    }
+    step.active_vertices = active;
     step.computed_vertices = step.active_vertices;
 
     // --- SND: apply staged data locally and send one message per replica of
@@ -575,7 +571,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     // CyclopsMT parallelizes the send path with private per-thread out-queues
     // (fabric lanes), §5 — each compute thread ships the sync messages of its
     // own master chunk. ---
-    std::vector<std::uint64_t> emitted(static_cast<std::size_t>(workers) * T, 0);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kSend);
       pool_.parallel_tasks(static_cast<std::size_t>(workers) * T, [&](std::size_t e) {
@@ -585,6 +580,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         auto sender = Channel::sender(fabric_, w, t, &vcheck_, CYCLOPS_VLOC);
         const ChunkRange range = chunk_range(wl.num_masters(), T, t);
         std::vector<std::size_t> per_dest(workers, 0);
+        std::uint64_t emitted = 0;
         for (std::size_t i = range.begin; i < range.end; ++i) {
           if (!dirty_[w].test(i)) continue;
           for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
@@ -602,14 +598,13 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
             const ReplicaRef ref = wl.rep_targets[r];
             sender.send(ref.worker, WireRecord{ref.slot, msg});
-            ++emitted[e];
+            ++emitted;
           }
         }
+        ledger_.charge_send(e, static_cast<double>(emitted) * per_emit_us);
       });
     }
     for (WorkerId w = 0; w < workers; ++w) dirty_[w].clear_all();
-    std::uint64_t emitted_max = 0;
-    for (auto e : emitted) emitted_max = std::max(emitted_max, e);
 
     // Barrier participants: hierarchical (§5) synchronizes machines only
     // (threads wait on a local barrier); a flat barrier involves every
@@ -622,7 +617,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     // activation, chunked across the worker's simulated receiver threads.
     // No parsing phase, no queue, no locks: each replica slot has exactly
     // one writer. ---
-    std::vector<std::uint64_t> received(static_cast<std::size_t>(workers) * R, 0);
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kExchange);
       pool_.parallel_tasks(static_cast<std::size_t>(workers) * R, [&](std::size_t e) {
@@ -631,32 +625,26 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         const WorkerLayout& wl = layout_.workers[w];
         const auto packages = fabric_.incoming(w);
         const ChunkRange pr = chunk_range(packages.size(), R, rth);
+        std::uint64_t received = 0;
         for (std::size_t pi = pr.begin; pi < pr.end; ++pi) {
           Channel::for_each(packages[pi], [&](const WireRecord& rec) {
             vcheck_.on_replica_write(w, w, rec.slot, CYCLOPS_VLOC);
             shared_data_[w][rec.slot] = rec.payload;
-            ++received[e];
+            ++received;
             for (std::size_t o = wl.lout_offsets[rec.slot];
                  o < wl.lout_offsets[rec.slot + 1]; ++o) {
               next_active_[w].set(wl.lout_adj[o]);
             }
           });
         }
+        ledger_.charge_receive(e, static_cast<double>(received) * per_deliver_us);
       });
     }
     for (WorkerId w = 0; w < workers; ++w) fabric_.clear_incoming(w);
-    std::uint64_t received_max = 0;
-    for (auto r : received) received_max = std::max(received_max, r);
-    step.phases.snd_s =
-        (static_cast<double>(emitted_max) *
-             (sw.msg_serialize_us + sizeof(WireRecord) * sw.msg_byte_us) +
-         static_cast<double>(received_max) *
-             (sw.msg_deliver_us + 0.5 * sizeof(WireRecord) * sw.msg_byte_us)) *
-        1e-6;
 
-    // --- SYN: swap active sets, decide termination. ---
+    // --- SYN: swap active sets, decide termination. Its modeled time is the
+    // exchange's barrier. ---
     verify::PhaseScope syn_scope(vcheck_, verify::Phase::kSync);
-    Timer syn_timer;
     bool any_active = false;
     // Fine-grained convergence (§4.4): a vertex counts as converged when its
     // last compute reported a sub-epsilon error (mark_converged) OR when it
@@ -672,7 +660,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         if (!converged_[w].test(i)) ++active_unconverged;
       });
     }
-    step.phases.syn_s = syn_timer.elapsed_s();
     step.converged_vertices = total_masters - active_unconverged;
     bool done = !any_active;
     if (config_.stop_converged_fraction < 1.0 && graph_->num_vertices() > 0) {

@@ -18,13 +18,11 @@
 //     bool scatter_activates(const Value& old, const Value& next) const;
 //   };
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
 #include "cyclops/common/bitset.hpp"
 #include "cyclops/common/check.hpp"
-#include "cyclops/common/exec.hpp"
 #include "cyclops/common/serialize.hpp"
 #include "cyclops/gas/gas_layout.hpp"
 #include "cyclops/metrics/memory_model.hpp"
@@ -50,7 +48,7 @@ template <typename Program>
 class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   using Shell = runtime::EngineShell<Engine<Program>, Config>;
   friend Shell;
-  using Shell::config_, Shell::fabric_, Shell::pool_, Shell::vcheck_;
+  using Shell::config_, Shell::fabric_, Shell::ledger_, Shell::pool_, Shell::vcheck_;
 
  public:
   using Value = typename Program::Value;
@@ -273,11 +271,9 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   bool run_superstep(metrics::SuperstepStats& step) {
     const WorkerId workers = config_.topo.total_workers();
     const sim::SoftwareModel& sw = kSoftware;
-    // Deterministic per-worker work accounting (see sim/software_model.hpp):
-    // each lambda adds the operations it performed for its worker; phase time
-    // is the max across workers.
-    std::vector<double> cmp_us(workers, 0.0);
-    std::vector<double> snd_us(workers, 0.0);
+    // Each worker is one ledger executor, charged per operation as it runs.
+    // Delivery work is charged as send work: a GAS worker's four exchanges
+    // run back to back, so SND is its combined messaging time.
 
     // Promote next_active_masters -> active copies of masters.
     std::uint64_t active = 0;
@@ -305,7 +301,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           if (!wl.is_master[c]) return;
           for (std::size_t m = wl.mirror_offsets[c]; m < wl.mirror_offsets[c + 1]; ++m) {
             req.send(wl.mirrors[m].worker, ReqRecord{wl.mirrors[m].copy});
-            snd_us[w] += sw.msg_serialize_us;
+            ledger_.charge_send(w, sw.msg_serialize_us);
           }
         });
       });
@@ -316,7 +312,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       pool_.parallel_tasks(workers, [&](std::size_t w) {
         ReqChannel::drain(fabric_, static_cast<WorkerId>(w), [&](const ReqRecord& rec) {
           active_copies_[w].set(rec.copy);
-          snd_us[w] += sw.msg_deliver_us;
+          ledger_.charge_send(w, sw.msg_deliver_us);
         });
       });
     }
@@ -338,8 +334,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
                 acc, program_.gather(values_[w][c], values_[w][edge.src], edge.weight));
           }
           partial_[w][c] = acc;
-          cmp_us[w] += static_cast<double>(wl.in_offsets[c + 1] - wl.in_offsets[c]) *
-                       sw.edge_op_us * sim::edge_op_weight<Program>();
+          ledger_.charge_compute(w, static_cast<double>(wl.in_offsets[c + 1] - wl.in_offsets[c]) *
+                                        sw.edge_op_us * sim::edge_op_weight<Program>());
         });
       });
     }
@@ -353,7 +349,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           if (wl.is_master[c]) return;
           const MirrorRef master = wl.master_of[c];
           acc.send(master.worker, AccRecord{master.copy, partial_[w][c]});
-          snd_us[w] += sw.msg_serialize_us;
+          ledger_.charge_send(w, sw.msg_serialize_us);
         });
       });
     }
@@ -363,7 +359,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       pool_.parallel_tasks(workers, [&](std::size_t w) {
         AccChannel::drain(fabric_, static_cast<WorkerId>(w), [&](const AccRecord& rec) {
           partial_[w][rec.copy] = program_.merge(partial_[w][rec.copy], rec.acc);
-          snd_us[w] += sw.msg_deliver_us;
+          ledger_.charge_send(w, sw.msg_deliver_us);
         });
       });
     }
@@ -381,7 +377,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           vcheck_.on_master_write(static_cast<WorkerId>(w), static_cast<WorkerId>(w),
                                   static_cast<std::uint32_t>(c), CYCLOPS_VLOC);
           values_[w][c] = program_.apply(values_[w][c], partial_[w][c]);
-          cmp_us[w] += sw.vertex_op_us * sim::vertex_op_weight<Program>();
+          ledger_.charge_compute(w, sw.vertex_op_us * sim::vertex_op_weight<Program>());
         });
       });
       pool_.parallel_tasks(workers, [&](std::size_t w) {
@@ -397,7 +393,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           for (std::size_t m = wl.mirror_offsets[c]; m < wl.mirror_offsets[c + 1]; ++m) {
             val.send(wl.mirrors[m].worker, ValRecord{wl.mirrors[m].copy, values_[w][c]});
             req.send(wl.mirrors[m].worker, ReqRecord{wl.mirrors[m].copy});
-            snd_us[w] += 2.0 * sw.msg_serialize_us;
+            ledger_.charge_send(w, 2.0 * sw.msg_serialize_us);
           }
         });
       });
@@ -415,7 +411,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
                                      rec.copy, CYCLOPS_VLOC);
             values_[w][rec.copy] = rec.value;
             (void)reader.read<ReqRecord>();  // scatter request
-            snd_us[w] += 2.0 * sw.msg_deliver_us;
+            ledger_.charge_send(w, 2.0 * sw.msg_deliver_us);
           }
         }
         fabric_.clear_incoming(static_cast<WorkerId>(w));
@@ -432,11 +428,11 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       pool_.parallel_tasks(workers, [&](std::size_t w) {
         const GasWorkerLayout& wl = layout_.workers[w];
         active_copies_[w].for_each([&](std::size_t c) {
-          cmp_us[w] += sw.vertex_op_us;  // scatter predicate evaluation
+          ledger_.charge_compute(w, sw.vertex_op_us);  // scatter predicate evaluation
           if (!program_.scatter_activates(old_values_[w][c], values_[w][c])) return;
           for (std::size_t e = wl.out_offsets[c]; e < wl.out_offsets[c + 1]; ++e) {
             activated_copies_[w].set(wl.edges[wl.out_edge_ids[e]].dst);
-            cmp_us[w] += sw.edge_op_us;
+            ledger_.charge_compute(w, sw.edge_op_us);
           }
         });
       });
@@ -453,7 +449,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
           } else {
             const MirrorRef master = wl.master_of[c];
             req.send(master.worker, ReqRecord{master.copy});
-            snd_us[w] += sw.msg_serialize_us;
+            ledger_.charge_send(w, sw.msg_serialize_us);
           }
         });
       });
@@ -464,18 +460,11 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
       pool_.parallel_tasks(workers, [&](std::size_t w) {
         ReqChannel::drain(fabric_, static_cast<WorkerId>(w), [&](const ReqRecord& rec) {
           next_active_masters_[w].set(rec.copy);
-          snd_us[w] += sw.msg_deliver_us;
+          ledger_.charge_send(w, sw.msg_deliver_us);
         });
       });
     }
 
-    double cmp_max = 0, snd_max = 0;
-    for (WorkerId w = 0; w < workers; ++w) {
-      cmp_max = std::max(cmp_max, cmp_us[w]);
-      snd_max = std::max(snd_max, snd_us[w]);
-    }
-    step.phases.cmp_s = cmp_max * 1e-6;
-    step.phases.snd_s = snd_max * 1e-6;
     bool any_next = false;
     for (WorkerId w = 0; w < workers && !any_next; ++w) {
       any_next = next_active_masters_[w].any();

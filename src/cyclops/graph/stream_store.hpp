@@ -5,8 +5,9 @@
 // temp file and is paged through per-cursor read windows sized from the
 // memory cap. Supersteps scan vertices in ascending order, so consecutive
 // queries hit the same window and each superstep streams the blob once.
-// Message buffering above the store's budget is charged as disk spill by the
-// runtime's exchange accounting (sim::CostModel::disk_byte_us).
+// Message buffering above the store's budget is counted as spilled bytes by
+// the runtime's exchange accounting (MemoryReport::message_spill_bytes); no
+// modeled clock charges it.
 
 #include <cstdint>
 #include <span>

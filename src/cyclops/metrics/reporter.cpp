@@ -9,8 +9,8 @@ std::string phase_breakdown_row(const std::string& label, const RunStats& run,
                                 bool normalized) {
   const PhaseTimes t = run.phase_totals();
   // Attribution matches the paper's phases: SND includes the (modeled) wire
-  // time of message transfer; SYN includes the (modeled) barrier wait.
-  const double syn = t.syn_s + run.modeled_barrier_s();
+  // time of message transfer; SYN is the (modeled) barrier wait.
+  const double syn = run.modeled_barrier_s();
   const double snd = t.snd_s + run.modeled_wire_s();
   const double total = t.prs_s + t.cmp_s + snd + syn;
   char buf[256];
@@ -40,10 +40,10 @@ std::string run_summary(const std::string& label, const RunStats& run) {
   const auto net = run.net_totals();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "%s: %zu supersteps, %.3fs total (%.3fs measured + %.3fs modeled comm), "
+                "%s: %zu supersteps, %.3fs total (%.3fs modeled compute + %.3fs modeled comm), "
                 "%llu messages (%llu remote)",
-                label.c_str(), run.supersteps.size(), run.total_time_s(), run.elapsed_s,
-                run.modeled_comm_total_s(),
+                label.c_str(), run.supersteps.size(), run.total_time_s(),
+                run.phase_totals().total_s(), run.modeled_comm_total_s(),
                 static_cast<unsigned long long>(net.total_messages()),
                 static_cast<unsigned long long>(net.remote_messages));
   return buf;

@@ -3,6 +3,11 @@
 // follows §3.5: message parsing (PRS), vertex computation (CMP), message
 // sending (SND), and the global barrier (SYN). Cyclops has no PRS phase —
 // receiving threads apply updates directly — so its PRS stays 0.
+//
+// Every time here is modeled, so a run's totals are bit-reproducible: phase
+// times are op counts x sim::SoftwareModel rates (runtime/phase_ledger.hpp),
+// wire and barrier times come from sim::CostModel. SYN's modeled time is the
+// barrier (modeled_barrier_s).
 
 #include <cstdint>
 #include <vector>
@@ -12,11 +17,12 @@
 
 namespace cyclops::metrics {
 
+/// Modeled software time per phase, for the slowest simulated executor.
 struct PhaseTimes {
   double prs_s = 0;  ///< message parsing
   double cmp_s = 0;  ///< vertex computation
   double snd_s = 0;  ///< message sending (serialize + enqueue + delivery work)
-  double syn_s = 0;  ///< barrier + modeled communication wait
+  double syn_s = 0;  ///< always 0: SYN is SuperstepStats::modeled_barrier_s
 
   [[nodiscard]] double total_s() const noexcept { return prs_s + cmp_s + snd_s + syn_s; }
 
@@ -36,16 +42,21 @@ struct SuperstepStats {
   sim::NetSnapshot net;                 ///< traffic of this superstep
   std::uint64_t redundant_messages = 0; ///< payload identical to previous superstep
   std::uint64_t converged_vertices = 0; ///< cumulative, by local error
-  PhaseTimes phases;                    ///< measured wall time per phase
+  PhaseTimes phases;                    ///< modeled software time per phase
   double modeled_comm_s = 0;            ///< cost-model wire time
-  double modeled_barrier_s = 0;
+  double modeled_barrier_s = 0;         ///< cost-model barrier time (SYN)
+
+  /// The superstep's modeled time: phases plus wire and barrier.
+  [[nodiscard]] double total_time_s() const noexcept {
+    return phases.total_s() + modeled_comm_s + modeled_barrier_s;
+  }
 };
 
-/// Whole-run result common to every engine.
+/// Whole-run result common to every engine: the supersteps of one run()
+/// call. Only ingress_s is host time.
 struct RunStats {
   std::vector<SuperstepStats> supersteps;
-  double ingress_s = 0;            ///< layout/replica construction time
-  double elapsed_s = 0;            ///< measured wall time of the run loop
+  double ingress_s = 0;            ///< host time of layout/replica construction
   std::uint64_t peak_buffered_bytes = 0;
 
   [[nodiscard]] PhaseTimes phase_totals() const noexcept {
@@ -73,11 +84,11 @@ struct RunStats {
     for (const auto& s : supersteps) t += s.modeled_barrier_s;
     return t;
   }
-  /// The headline "execution time" figure: measured work plus modeled wire
-  /// time (see DESIGN.md §5 — on a 1-core host thread-level overlap does not
-  /// materialize, so time compositions are additive and conservative).
+  /// The headline "execution time" figure: modeled phase time plus modeled
+  /// wire and barrier time (DESIGN.md §5 — phases, wire and barrier do not
+  /// overlap, so the composition is additive and conservative).
   [[nodiscard]] double total_time_s() const noexcept {
-    return elapsed_s + modeled_comm_total_s();
+    return phase_totals().total_s() + modeled_comm_total_s();
   }
 };
 

@@ -3,13 +3,16 @@
 // models (BSP/Hama, Cyclops immutable view, PowerGraph GAS) share, written
 // once. The paper's engines differ only in what happens *inside* a superstep;
 // the host pool, the simulated fabric, the superstep driver, the exchange
-// accounting, the invariant checker, and the lifecycle wiring between them —
-// fault injection, message logging, schedule exploration, spill budget,
-// periodic checkpoints, localized-recovery replay — are the same machinery.
+// accounting, the modeled phase clock (PhaseLedger), the invariant checker,
+// and the lifecycle wiring between them — fault injection, message logging,
+// schedule exploration, spill budget, periodic checkpoints, localized-recovery
+// replay — are the same machinery.
 //
 // An engine derives from EngineShell<Engine, Config> (CRTP) and keeps only:
 //   * its phase logic:     bool run_superstep(metrics::SuperstepStats&);
 //                          void notify(const metrics::SuperstepStats&);
+//                          run_superstep charges each executor's modeled work
+//                          to ledger_; run() turns the charges into phases.
 //   * its frame codec:     void checkpoint_machine(MachineId, ByteWriter&,
 //                                                  CheckpointMode) const;
 //                          void restore_machine(MachineId, ByteReader&);
@@ -37,6 +40,7 @@
 #include "cyclops/metrics/superstep_stats.hpp"
 #include "cyclops/runtime/checkpoint.hpp"
 #include "cyclops/runtime/exchange_accounting.hpp"
+#include "cyclops/runtime/phase_ledger.hpp"
 #include "cyclops/runtime/superstep_driver.hpp"
 #include "cyclops/sim/cost_model.hpp"
 #include "cyclops/sim/fabric.hpp"
@@ -74,10 +78,16 @@ class EngineShell {
  public:
   /// Runs supersteps to termination (the engine's own stop rule) or to the
   /// superstep cap, which is re-read every call so runs can be continued.
+  /// Each superstep's phase times are read off the ledger it charged.
   metrics::RunStats run() {
     metrics::RunStats stats = driver_.run(
         superstep_cap(), acct_,
-        [this](metrics::SuperstepStats& step) { return derived().run_superstep(step); },
+        [this](metrics::SuperstepStats& step) {
+          ledger_.clear();
+          const bool done = derived().run_superstep(step);
+          step.phases = ledger_.phases();
+          return done;
+        },
         [this](const metrics::SuperstepStats& step) { derived().notify(step); });
     stats.ingress_s = ingress_s_;
     return stats;
@@ -139,11 +149,14 @@ class EngineShell {
  protected:
   /// Wires the shared machinery from `config`: fault clock and fabric faults,
   /// message log, pool schedule, checker, and the store's message budget
-  /// (0 = unbounded). `lanes` is the fabric's sender lanes per worker.
-  EngineShell(Config config, std::uint64_t message_budget_bytes, std::size_t lanes = 1)
+  /// (0 = unbounded). `lanes` is the fabric's sender lanes per worker;
+  /// `executors` the ledger's simulated executors per worker.
+  EngineShell(Config config, std::uint64_t message_budget_bytes, std::size_t lanes = 1,
+              std::size_t executors = 1)
       : config_(std::move(config)),
         pool_(config_.pool_threads),
-        fabric_(config_.topo, Derived::kCost, lanes) {
+        fabric_(config_.topo, Derived::kCost, lanes),
+        ledger_(config_.topo.total_workers() * executors) {
     if (config_.faults) {
       fabric_.install_faults(config_.faults.get());
       driver_.set_fault_injector(config_.faults.get());
@@ -154,10 +167,10 @@ class EngineShell {
     arm_store_budget(message_budget_bytes);
   }
 
-  /// Charges exchange buffering above the store's budget as spill traffic;
+  /// Counts exchange buffering above the store's budget as spill bytes;
   /// a zero budget (fully in-memory store) leaves the accounting unbounded.
   void arm_store_budget(std::uint64_t budget_bytes) {
-    if (budget_bytes > 0) acct_.arm_spill(budget_bytes, Derived::kCost.disk_byte_us);
+    if (budget_bytes > 0) acct_.arm_spill(budget_bytes);
   }
 
   /// Runs `build` (layout/replica construction), adds its host time to the
@@ -215,6 +228,7 @@ class EngineShell {
   sim::Fabric fabric_;
   SuperstepDriver driver_;
   ExchangeAccounting acct_;
+  PhaseLedger ledger_;
   verify::EngineChecker vcheck_;
 
  private:

@@ -22,12 +22,8 @@ namespace cyclops::runtime {
 class ExchangeAccounting {
  public:
   /// Arms bounded-message-buffer accounting for out-of-core stores: any
-  /// exchange buffering above `budget_bytes` is charged as a disk
-  /// write+read at `disk_byte_us` per byte (sim::CostModel::spill_cost_us).
-  void arm_spill(std::uint64_t budget_bytes, double disk_byte_us) noexcept {
-    spill_budget_bytes_ = budget_bytes;
-    spill_disk_byte_us_ = disk_byte_us;
-  }
+  /// exchange buffering above `budget_bytes` is counted as spilled bytes.
+  void arm_spill(std::uint64_t budget_bytes) noexcept { spill_budget_bytes_ = budget_bytes; }
 
   /// Folds one barrier exchange into the peak-buffered high-water mark
   /// (Table 2's "max capacity" analog) and, when a spill budget is armed,
@@ -35,9 +31,7 @@ class ExchangeAccounting {
   void note_exchange(const sim::ExchangeStats& x) noexcept {
     peak_buffered_bytes_ = std::max(peak_buffered_bytes_, x.peak_buffered_bytes);
     if (spill_budget_bytes_ > 0 && x.peak_buffered_bytes > spill_budget_bytes_) {
-      const std::uint64_t spilled = x.peak_buffered_bytes - spill_budget_bytes_;
-      spill_bytes_ += spilled;
-      spill_s_ += 2.0 * static_cast<double>(spilled) * spill_disk_byte_us_ * 1e-6;
+      spill_bytes_ += x.peak_buffered_bytes - spill_budget_bytes_;
     }
   }
 
@@ -72,15 +66,11 @@ class ExchangeAccounting {
   }
   /// Cumulative bytes buffered above the armed budget, summed per exchange.
   [[nodiscard]] std::uint64_t spill_bytes() const noexcept { return spill_bytes_; }
-  /// Modeled seconds spent writing + re-reading the spilled bytes.
-  [[nodiscard]] double spill_s() const noexcept { return spill_s_; }
 
  private:
   std::uint64_t peak_buffered_bytes_ = 0;
   std::uint64_t spill_budget_bytes_ = 0;
-  double spill_disk_byte_us_ = 0.0;
   std::uint64_t spill_bytes_ = 0;
-  double spill_s_ = 0.0;
   std::atomic<std::uint64_t> churn_bytes_{0};
   std::atomic<std::uint64_t> messages_{0};
 };

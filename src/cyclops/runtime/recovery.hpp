@@ -247,14 +247,13 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
         }
       }
       if (!in_window) continue;
-      const double full_s =
-          s.phases.total_s() + s.modeled_comm_s + s.modeled_barrier_s;
+      const double full_s = s.total_time_s();
       out.recovery.replay_window_s += full_s;
       if (!localized) {
         surcharge_us += full_s * 1e6;
       } else {
         // The replayer redoes one machine's partition: its share of the
-        // cluster's measured work (partitions are balanced by construction).
+        // cluster's modeled work (partitions are balanced by construction).
         // Survivors idle — no wire, no barrier — except for re-feeding the
         // log, priced below. kLogParallel splits the share across K
         // survivors replaying slices concurrently.

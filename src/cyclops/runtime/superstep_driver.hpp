@@ -7,9 +7,9 @@
 // so the driver takes it as a callback and the engines keep just their
 // genuinely distinct phase logic.
 //
-// The driver owns the superstep counter and the simulated-elapsed clock so
-// checkpoint/restore and multi-run continuation (extend_max_supersteps,
-// topology mutation) observe one authoritative position in the computation.
+// The driver owns the superstep counter so checkpoint/restore and multi-run
+// continuation (extend_max_supersteps, topology mutation) observe one
+// authoritative position in the computation.
 
 #include <algorithm>
 #include <functional>
@@ -47,7 +47,6 @@ class SuperstepDriver {
       metrics::SuperstepStats s;
       s.superstep = superstep_;
       done = step(s);
-      simulated_elapsed_s_ += s.phases.total_s();
       stats.supersteps.push_back(s);
       stats.peak_buffered_bytes =
           std::max(stats.peak_buffered_bytes, acct.peak_buffered_bytes());
@@ -62,7 +61,6 @@ class SuperstepDriver {
         checkpoint_->commit(superstep_, snapshot.take());
       }
     }
-    stats.elapsed_s = simulated_elapsed_s_;
     return stats;
   }
 
@@ -70,11 +68,6 @@ class SuperstepDriver {
 
   /// Repositions the computation (checkpoint restore).
   void set_superstep(Superstep s) noexcept { superstep_ = s; }
-
-  /// Simulated work time accumulated across every run() so far.
-  [[nodiscard]] double simulated_elapsed_s() const noexcept {
-    return simulated_elapsed_s_;
-  }
 
   /// Arms the driver's fault clock: the injector is repositioned at the top
   /// of every superstep so exchange-level faults know where they fire.
@@ -96,7 +89,6 @@ class SuperstepDriver {
 
  private:
   Superstep superstep_ = 0;
-  double simulated_elapsed_s_ = 0;
   sim::FaultInjector* faults_ = nullptr;
   verify::EngineChecker* checker_ = nullptr;
   CheckpointManager* checkpoint_ = nullptr;

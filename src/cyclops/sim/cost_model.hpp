@@ -20,7 +20,6 @@ struct CostModel {
   double loopback_factor = 0.3;     ///< same-machine messages pay this fraction
   double barrier_base_us = 200.0;   ///< fixed global-barrier latency
   double barrier_per_participant_us = 50.0;  ///< coordination per participant
-  double disk_byte_us = 0.01;       ///< ~100 MB/s spill disk (out-of-core store)
 
   // Per-message in-engine rates below are the *batched* RPC costs (derived
   // from the paper's end-to-end times); the serial per-message path of
@@ -46,7 +45,7 @@ struct CostModel {
 
   /// Free communication — isolates pure computation effects in ablations.
   [[nodiscard]] static constexpr CostModel zero() noexcept {
-    return CostModel{0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    return CostModel{0.0, 0.0, 0.0, 0.0, 0.0};
   }
 
   [[nodiscard]] double remote_cost_us(std::size_t msgs, std::size_t bytes) const noexcept {
@@ -60,12 +59,6 @@ struct CostModel {
 
   [[nodiscard]] double barrier_cost_us(std::size_t participants) const noexcept {
     return barrier_base_us + barrier_per_participant_us * static_cast<double>(participants);
-  }
-
-  /// Modeled cost of spilling `bytes` to disk and reading them back — the
-  /// out-of-core store's bounded message buffering above its budget.
-  [[nodiscard]] double spill_cost_us(std::size_t bytes) const noexcept {
-    return 2.0 * static_cast<double>(bytes) * disk_byte_us;
   }
 };
 

@@ -1,9 +1,10 @@
 #pragma once
 // Deterministic software-time model. Engines count the exact work each
 // simulated executor performs per phase (vertices computed, edges scanned,
-// messages parsed / serialized / delivered) and convert counts to time with
-// these per-operation rates; phase wall time is the maximum over simulated
-// executors, i.e. perfectly-overlapped parallel time.
+// messages parsed / serialized / delivered), convert counts to µs with these
+// per-operation rates and charge them to the shell's runtime::PhaseLedger,
+// which takes each phase's time as the maximum over simulated executors,
+// i.e. perfectly-overlapped parallel time.
 //
 // Why modeled rather than measured: the paper's engines are JVM-based (Hama,
 // Cyclops) or C++ (PowerGraph) running on 72 dedicated cores; this repo's

@@ -1,6 +1,6 @@
 // Behaviour pins for the three engines: memory_report() (every field), the
-// modeled per-superstep times (prs/cmp/snd, wire and barrier; host syn_s is
-// wall-clock and excluded) and the fabric's wire digest, for one workload per
+// modeled per-superstep times (prs/cmp/snd, wire and barrier; syn_s is
+// always 0 and left out) and the fabric's wire digest, for one workload per
 // execution model. The runs go over the stream store with a small cap, so the
 // spill budget is armed and message_spill_bytes is exercised.
 //
@@ -8,11 +8,17 @@
 // lifecycle moved into runtime/engine_shell.hpp; any refactor of the engines
 // must leave them unchanged. On a mismatch the test prints the observed pin
 // in initializer form.
+//
+// The ModeledClock tests run one config twice and require every modeled time
+// — per-superstep phases, wire and barrier, and the run total — to repeat bit
+// for bit: no host time may leak into the modeled clock.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "cyclops/algorithms/pagerank.hpp"
@@ -20,10 +26,12 @@
 #include "cyclops/bsp/engine.hpp"
 #include "cyclops/core/engine.hpp"
 #include "cyclops/gas/engine.hpp"
+#include "cyclops/graph/csr.hpp"
 #include "cyclops/graph/generators.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/partition/hash.hpp"
 #include "cyclops/partition/vertex_cut.hpp"
+#include "test_util.hpp"
 
 namespace cyclops {
 namespace {
@@ -174,6 +182,68 @@ TEST(EnginePins, GasPageRank) {
   const Pin got = pin_of(engine, stats);
   EXPECT_GT(got.message_spill_bytes, 0u);
   expect_pin(Pin{59520u, 8048u, 2048u, 1005752u, 94534u, 12304u, 5220u, 699132u, 40u, 0xd8e4afc19c27a17aull, 0x34a64e0d6344ba96ull}, got);
+}
+
+/// One superstep's modeled times as raw bits, so equality means bit-identical.
+std::array<std::uint64_t, 6> modeled_bits(const metrics::SuperstepStats& s) {
+  return {std::bit_cast<std::uint64_t>(s.phases.prs_s),
+          std::bit_cast<std::uint64_t>(s.phases.cmp_s),
+          std::bit_cast<std::uint64_t>(s.phases.snd_s),
+          std::bit_cast<std::uint64_t>(s.phases.syn_s),
+          std::bit_cast<std::uint64_t>(s.modeled_comm_s),
+          std::bit_cast<std::uint64_t>(s.modeled_barrier_s)};
+}
+
+/// Runs two engines built by `make` from one config and compares every
+/// modeled time they report.
+template <typename Make>
+void expect_modeled_clock_repeats(Make make) {
+  const metrics::RunStats a = make()->run();
+  const metrics::RunStats b = make()->run();
+  ASSERT_EQ(a.supersteps.size(), b.supersteps.size());
+  ASSERT_GT(a.supersteps.size(), 1u);
+  for (std::size_t i = 0; i < a.supersteps.size(); ++i) {
+    EXPECT_EQ(modeled_bits(a.supersteps[i]), modeled_bits(b.supersteps[i]))
+        << "superstep " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_time_s()),
+            std::bit_cast<std::uint64_t>(b.total_time_s()));
+}
+
+TEST(ModeledClock, BspPageRankRepeatsBitForBit) {
+  const graph::Csr g = graph::Csr::build(graph::gen::rmat(9, 3000, 17));
+  algo::PageRankBsp pr;
+  pr.epsilon = 1e-10;
+  bsp::Config cfg = bsp::Config::workers(4);
+  cfg.max_supersteps = 40;
+  expect_modeled_clock_repeats([&] {
+    return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, test::hash_partition(g, 4),
+                                                            pr, cfg);
+  });
+}
+
+TEST(ModeledClock, CyclopsPageRankRepeatsBitForBit) {
+  const graph::Csr g = graph::Csr::build(graph::gen::rmat(9, 3000, 17));
+  algo::PageRankCyclops pr;
+  pr.epsilon = 1e-10;
+  core::Config cfg = core::Config::cyclops(2, 2);
+  cfg.max_supersteps = 40;
+  expect_modeled_clock_repeats([&] {
+    return std::make_unique<core::Engine<algo::PageRankCyclops>>(
+        g, test::hash_partition(g, 4), pr, cfg);
+  });
+}
+
+TEST(ModeledClock, CyclopsMtSsspRepeatsBitForBit) {
+  const graph::Csr g = graph::Csr::build(graph::gen::road_grid({24, 24, 0.1}, 3));
+  algo::SsspCyclops sssp;
+  sssp.source = 0;
+  core::Config cfg = core::Config::cyclops_mt(2, 4, 2);
+  cfg.max_supersteps = 300;
+  expect_modeled_clock_repeats([&] {
+    return std::make_unique<core::Engine<algo::SsspCyclops>>(g, test::hash_partition(g, 2),
+                                                             sssp, cfg);
+  });
 }
 
 }  // namespace

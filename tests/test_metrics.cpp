@@ -31,7 +31,6 @@ TEST(RunStats, AggregatesSupersteps) {
     s.modeled_barrier_s = 0.01;
     run.supersteps.push_back(s);
   }
-  run.elapsed_s = 3.0;
   EXPECT_DOUBLE_EQ(run.phase_totals().total_s(), 3.0);
   EXPECT_EQ(run.net_totals().remote_messages, 30u);
   EXPECT_NEAR(run.modeled_comm_total_s(), 0.18, 1e-12);
@@ -77,7 +76,6 @@ TEST(Reporter, BreakdownRowFormats) {
   SuperstepStats s;
   s.phases = PhaseTimes{0.25, 0.25, 0.25, 0.25};
   run.supersteps.push_back(s);
-  run.elapsed_s = 1.0;
   const std::string normalized = phase_breakdown_row("demo", run, true);
   EXPECT_NE(normalized.find("SYN"), std::string::npos);
   EXPECT_NE(normalized.find("%"), std::string::npos);

@@ -134,7 +134,7 @@ TEST(SuperstepDriver, RunsUntilCapAndAccumulatesElapsed) {
       [&](const metrics::SuperstepStats& s) { notified.push_back(s.superstep); });
   EXPECT_EQ(stats.supersteps.size(), 5u);
   EXPECT_EQ(driver.superstep(), 5u);
-  EXPECT_DOUBLE_EQ(stats.elapsed_s, 2.5);
+  EXPECT_DOUBLE_EQ(stats.phase_totals().total_s(), 2.5);
   EXPECT_EQ(notified, (std::vector<Superstep>{0, 1, 2, 3, 4}));
 }
 

@@ -660,14 +660,10 @@ int replay_query_load(const Options& o, service::Service& svc) {
 struct IngestTally {
   std::uint64_t supersteps = 0;
   std::uint64_t messages = 0;
-  double modeled_s = 0;  ///< measured phase time + modeled wire/barrier
+  double modeled_s = 0;  ///< modeled phase + wire/barrier time (total_time_s)
   std::size_t resets = 0;
   std::size_t activated = 0;
 };
-
-double modeled_run_s(const metrics::RunStats& run) {
-  return run.phase_totals().total_s() + run.modeled_comm_total_s();
-}
 
 // Streaming ingestion mode: replay a mutation trace through the batching
 // MutationIngestor; on every published epoch the requested incremental
@@ -776,7 +772,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
       const ingest::EpochAdvance adv = eng->advance(snap, delta);
       t.supersteps += adv.run.supersteps.size();
       t.messages += adv.run.net_totals().total_messages();
-      t.modeled_s += modeled_run_s(adv.run);
+      t.modeled_s += adv.run.total_time_s();
       t.resets += adv.reset_vertices;
       t.activated += adv.activated_vertices;
       std::printf("[ingest] epoch %llu %s: %zu supersteps, %zu resets, %zu activated\n",
@@ -858,7 +854,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
     const double tol = std::max(
         1e-12, o.epsilon * static_cast<double>(tpr.supersteps + cs.supersteps.size() + 1));
     compare("pr", tpr, cs.supersteps.size(), cs.net_totals().total_messages(),
-            modeled_run_s(cs), diff <= tol, diff);
+            cs.total_time_s(), diff <= tol, diff);
   }
   if (isssp) {
     algo::SsspCyclops prog;
@@ -870,7 +866,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
     const auto b = cold.values();
     double diff = a == b ? 0.0 : algo::kInfDistance;
     compare("sssp", tsssp, cs.supersteps.size(), cs.net_totals().total_messages(),
-            modeled_run_s(cs), a == b, diff);
+            cs.total_time_s(), a == b, diff);
   }
   if (icc) {
     core::Engine<algo::CcCyclops> cold(
@@ -880,7 +876,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
     const auto a = icc->values();
     const auto b = cold.values();
     compare("cc", tcc, cs.supersteps.size(), cs.net_totals().total_messages(),
-            modeled_run_s(cs), a == b, a == b ? 0.0 : 1.0);
+            cs.total_time_s(), a == b, a == b ? 0.0 : 1.0);
   }
 
   if (!o.serve.empty()) {
