@@ -23,11 +23,10 @@ int main() {
   std::puts("(paper: Hama dominated by SND+PRS; Cyclops/CyclopsMT by CMP)");
   for (const auto& d : datasets) {
     const graph::Csr g = graph::Csr::build(d.edges);
-    for (EngineKind kind :
-         {EngineKind::kHama, EngineKind::kCyclops, EngineKind::kCyclopsMT}) {
+    for (algo::EngineKind kind :
+         {algo::EngineKind::kHama, algo::EngineKind::kCyclops, algo::EngineKind::kCyclopsMT}) {
       const CellResult r = run_cell(d, g, kind, opts);
-      const std::string label =
-          std::string(d.name) + "/" + engine_name(kind);
+      const std::string label = std::string(d.name) + "/" + algo::label(kind);
       std::printf("%s\n", metrics::phase_breakdown_row(label, r.stats, true).c_str());
     }
   }
@@ -37,8 +36,8 @@ int main() {
   const graph::Csr g = graph::Csr::build(gweb.edges);
   RunOptions series = opts;
   series.max_supersteps = 30;
-  const CellResult hama = run_cell(gweb, g, EngineKind::kHama, series);
-  const CellResult cy = run_cell(gweb, g, EngineKind::kCyclops, series);
+  const CellResult hama = run_cell(gweb, g, algo::EngineKind::kHama, series);
+  const CellResult cy = run_cell(gweb, g, algo::EngineKind::kCyclops, series);
 
   Table t({"superstep", "Hama active", "Cyclops active", "Hama msgs", "Cyclops msgs"});
   const std::size_t steps =

@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < datasets.size(); ++i) {
     const auto& d = datasets[i];
     const graph::Csr g = graph::Csr::build(d.edges);
-    const CellResult hama = run_cell(d, g, EngineKind::kHama, opts);
-    const CellResult cy = run_cell(d, g, EngineKind::kCyclops, opts);
-    const CellResult mt = run_cell(d, g, EngineKind::kCyclopsMT, opts);
-    t3.add_row({workload_name(d.workload), d.name, Table::fmt(hama.total_s, 3),
+    const CellResult hama = run_cell(d, g, algo::EngineKind::kHama, opts);
+    const CellResult cy = run_cell(d, g, algo::EngineKind::kCyclops, opts);
+    const CellResult mt = run_cell(d, g, algo::EngineKind::kCyclopsMT, opts);
+    t3.add_row({algo::label(d.workload), d.name, Table::fmt(hama.total_s, 3),
                 Table::fmt(cy.speedup_over(hama), 2) + "x",
                 Table::fmt(mt.speedup_over(hama), 2) + "x", paper_cy[i], paper_mt[i]});
   }

@@ -50,8 +50,8 @@ void fig13_2() {
     const graph::Csr g = graph::Csr::build(d.edges);
     RunOptions opts;
     opts.workers = 48;
-    const CellResult mt = run_cell(d, g, EngineKind::kCyclopsMT, opts);
-    const CellResult hama = run_cell(d, g, EngineKind::kHama, opts);
+    const CellResult mt = run_cell(d, g, algo::EngineKind::kCyclopsMT, opts);
+    const CellResult hama = run_cell(d, g, algo::EngineKind::kHama, opts);
     t.add_row({Table::fmt_int(static_cast<long long>(d.edges.num_edges())),
                Table::fmt(mt.total_s, 3), Table::fmt(hama.total_s, 3)});
   }

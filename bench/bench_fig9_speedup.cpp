@@ -37,10 +37,10 @@ void fig9_1(const std::vector<algo::Dataset>& datasets) {
   for (std::size_t i = 0; i < datasets.size(); ++i) {
     const auto& d = datasets[i];
     const graph::Csr g = graph::Csr::build(d.edges);
-    const CellResult hama = run_cell(d, g, EngineKind::kHama, opts);
-    const CellResult cy = run_cell(d, g, EngineKind::kCyclops, opts);
-    const CellResult mt = run_cell(d, g, EngineKind::kCyclopsMT, opts);
-    table.add_row({workload_name(d.workload), d.name, Table::fmt(hama.total_s, 3),
+    const CellResult hama = run_cell(d, g, algo::EngineKind::kHama, opts);
+    const CellResult cy = run_cell(d, g, algo::EngineKind::kCyclops, opts);
+    const CellResult mt = run_cell(d, g, algo::EngineKind::kCyclopsMT, opts);
+    table.add_row({algo::label(d.workload), d.name, Table::fmt(hama.total_s, 3),
                    Table::fmt(cy.total_s, 3), Table::fmt(cy.speedup_over(hama), 2) + "x",
                    Table::fmt(mt.total_s, 3), Table::fmt(mt.speedup_over(hama), 2) + "x",
                    kPaperFig9[i].cyclops, kPaperFig9[i].cyclops_mt});
@@ -58,14 +58,14 @@ void fig9_2(const std::vector<algo::Dataset>& datasets) {
     for (WorkerId workers : {6u, 12u, 24u, 48u}) {
       RunOptions opts;
       opts.workers = workers;
-      const CellResult hama = run_cell(d, g, EngineKind::kHama, opts);
-      const CellResult cy = run_cell(d, g, EngineKind::kCyclops, opts);
-      const CellResult mt = run_cell(d, g, EngineKind::kCyclopsMT, opts);
+      const CellResult hama = run_cell(d, g, algo::EngineKind::kHama, opts);
+      const CellResult cy = run_cell(d, g, algo::EngineKind::kCyclops, opts);
+      const CellResult mt = run_cell(d, g, algo::EngineKind::kCyclopsMT, opts);
       if (workers == 6) hama_base = hama.total_s;
       auto norm = [&](const CellResult& r) {
         return Table::fmt(r.total_s > 0 ? hama_base / r.total_s : 0.0, 2) + "x";
       };
-      table.add_row({workload_name(d.workload), d.name, Table::fmt_int(workers),
+      table.add_row({algo::label(d.workload), d.name, Table::fmt_int(workers),
                      norm(hama), norm(cy), norm(mt)});
     }
   }

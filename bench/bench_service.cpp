@@ -24,20 +24,20 @@ namespace {
 
 using namespace cyclops;
 using service::Algo;
-using service::EngineSel;
+using service::EngineKind;
 
 struct JobTemplate {
   Algo algo;
-  EngineSel engine;
+  EngineKind engine;
 };
 
 // The per-tenant job mix, cycled round-robin. Every engine family appears so
 // the scheduler interleaves heterogeneous run times.
 const JobTemplate kMix[] = {
-    {Algo::kPageRank, EngineSel::kCyclops}, {Algo::kSssp, EngineSel::kHama},
-    {Algo::kCc, EngineSel::kCyclopsMT},     {Algo::kPageRank, EngineSel::kGas},
-    {Algo::kSssp, EngineSel::kCyclops},     {Algo::kPageRank, EngineSel::kHama},
-    {Algo::kCc, EngineSel::kCyclops},       {Algo::kSssp, EngineSel::kGas},
+    {Algo::kPageRank, EngineKind::kCyclops}, {Algo::kSssp, EngineKind::kHama},
+    {Algo::kCc, EngineKind::kCyclopsMT},     {Algo::kPageRank, EngineKind::kGas},
+    {Algo::kSssp, EngineKind::kCyclops},     {Algo::kPageRank, EngineKind::kHama},
+    {Algo::kCc, EngineKind::kCyclops},       {Algo::kSssp, EngineKind::kGas},
 };
 constexpr std::size_t kJobs = 48;
 
@@ -66,7 +66,7 @@ service::JobSpec make_spec(std::size_t i, std::size_t tenants) {
   spec.algo = kMix[i % std::size(kMix)].algo;
   spec.engine = kMix[i % std::size(kMix)].engine;
   spec.tenant = "tenant-" + std::to_string(i % tenants);
-  spec.epsilon = 1e-6;
+  spec.params.epsilon = 1e-6;
   spec.max_supersteps = 40;
   return spec;
 }

@@ -37,8 +37,8 @@ int main() {
       RunOptions opts;
       opts.workers = 48;
       opts.multilevel = heuristic;
-      const CellResult cy = run_cell(d, g, EngineKind::kCyclopsMT, opts);
-      const CellResult pg = run_cell(d, g, EngineKind::kPowerGraph, opts);
+      const CellResult cy = run_cell(d, g, algo::EngineKind::kCyclopsMT, opts);
+      const CellResult pg = run_cell(d, g, algo::EngineKind::kGas, opts);
 
       // Messages per *mirror* per iteration — masters never receive sync
       // traffic, so the denominator excludes the master copy, matching the

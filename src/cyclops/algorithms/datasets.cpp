@@ -82,7 +82,7 @@ Dataset make_wiki(const DatasetScale& s) {
 Dataset make_syn_gl(const DatasetScale& s) {
   Dataset d;
   d.name = "SYN-GL";
-  d.workload = Workload::kAls;
+  d.workload = Algo::kAls;
   d.paper_vertices = 110000;
   d.paper_edges = 2729572;
   graph::gen::BipartiteSpec spec;
@@ -97,7 +97,7 @@ Dataset make_syn_gl(const DatasetScale& s) {
 Dataset make_dblp(const DatasetScale& s) {
   Dataset d;
   d.name = "DBLP";
-  d.workload = Workload::kCd;
+  d.workload = Algo::kCd;
   d.paper_vertices = 317080;
   d.paper_edges = 1049866;
   graph::gen::CommunitySpec spec;
@@ -112,7 +112,7 @@ Dataset make_dblp(const DatasetScale& s) {
 Dataset make_road_ca(const DatasetScale& s) {
   Dataset d;
   d.name = "RoadCA";
-  d.workload = Workload::kSssp;
+  d.workload = Algo::kSssp;
   d.paper_vertices = 1965206;
   d.paper_edges = 5533214;
   graph::gen::RoadSpec spec;

@@ -7,16 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "cyclops/algorithms/catalog.hpp"
 #include "cyclops/graph/store.hpp"
 #include "cyclops/graph/edge_list.hpp"
 
 namespace cyclops::algo {
 
-enum class Workload { kPageRank, kAls, kCd, kSssp };
-
 struct Dataset {
   std::string name;            ///< paper dataset this stands in for
-  Workload workload = Workload::kPageRank;
+  Algo workload = Algo::kPageRank;  ///< the algorithm the paper runs on it
   VertexId paper_vertices = 0;
   std::size_t paper_edges = 0;
   graph::EdgeList edges;       ///< generated stand-in

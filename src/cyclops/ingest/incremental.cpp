@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "cyclops/algorithms/catalog.hpp"
+
 namespace cyclops::ingest {
 namespace {
 
@@ -20,11 +22,15 @@ std::vector<VertexId> touched_in_range(const core::TopologyDelta& delta, VertexI
 IncrementalConfig make_incremental_config(const service::SnapshotConfig& snap, bool mt,
                                           unsigned threads, unsigned receivers,
                                           Superstep max_supersteps) {
+  const algo::ClusterShape shape{.machines = snap.machines,
+                                 .workers_per_machine = snap.workers_per_machine,
+                                 .mt_threads = threads,
+                                 .mt_receivers = receivers,
+                                 .max_supersteps = max_supersteps};
   IncrementalConfig cfg;
   cfg.mt = mt;
-  cfg.engine = mt ? core::Config::cyclops_mt(snap.machines, threads, receivers)
-                  : core::Config::cyclops(snap.machines, snap.workers_per_machine);
-  cfg.engine.max_supersteps = max_supersteps;
+  cfg.engine = mt ? algo::engine_config<algo::EngineKind::kCyclopsMT>(shape)
+                  : algo::engine_config<algo::EngineKind::kCyclops>(shape);
   cfg.extend_per_epoch = max_supersteps;
   return cfg;
 }

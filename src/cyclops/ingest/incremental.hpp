@@ -52,8 +52,8 @@ struct IncrementalConfig {
   Superstep extend_per_epoch = 5000;  ///< superstep budget added per advance()
 };
 
-/// Mirrors the service runner's engine-config construction so incremental
-/// runs are comparable to scheduler jobs on the same snapshot.
+/// The job catalog's Cyclops/CyclopsMT config for the snapshot's cluster
+/// shape, so incremental runs are comparable to scheduler jobs on it.
 [[nodiscard]] IncrementalConfig make_incremental_config(const service::SnapshotConfig& snap,
                                                         bool mt, unsigned threads = 4,
                                                         unsigned receivers = 2,

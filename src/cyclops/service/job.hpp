@@ -1,71 +1,31 @@
 #pragma once
 // Job vocabulary for the multi-tenant service: what a tenant submits (JobSpec),
 // what comes back (JobResult), and the lifecycle states the scheduler tracks.
+// Algorithm and engine names are the job catalog's (algorithms/catalog.hpp).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "cyclops/algorithms/catalog.hpp"
 #include "cyclops/common/types.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
 
 namespace cyclops::service {
 
-enum class Algo { kPageRank, kSssp, kCc, kAls };
-enum class EngineSel { kHama, kCyclops, kCyclopsMT, kGas };
-
-[[nodiscard]] inline const char* algo_name(Algo a) {
-  switch (a) {
-    case Algo::kPageRank: return "pr";
-    case Algo::kSssp: return "sssp";
-    case Algo::kCc: return "cc";
-    case Algo::kAls: return "als";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline const char* engine_name(EngineSel e) {
-  switch (e) {
-    case EngineSel::kHama: return "hama";
-    case EngineSel::kCyclops: return "cyclops";
-    case EngineSel::kCyclopsMT: return "mt";
-    case EngineSel::kGas: return "gas";
-  }
-  return "?";
-}
-
-/// Returns true and sets `out` iff `name` is a known algorithm name.
-[[nodiscard]] inline bool parse_algo(const std::string& name, Algo& out) {
-  if (name == "pr") out = Algo::kPageRank;
-  else if (name == "sssp") out = Algo::kSssp;
-  else if (name == "cc") out = Algo::kCc;
-  else if (name == "als") out = Algo::kAls;
-  else return false;
-  return true;
-}
-
-[[nodiscard]] inline bool parse_engine(const std::string& name, EngineSel& out) {
-  if (name == "hama") out = EngineSel::kHama;
-  else if (name == "cyclops") out = EngineSel::kCyclops;
-  else if (name == "mt") out = EngineSel::kCyclopsMT;
-  else if (name == "gas") out = EngineSel::kGas;
-  else return false;
-  return true;
-}
+using algo::Algo;
+using algo::EngineKind;
 
 struct JobSpec {
   std::string tenant = "default";
   int priority = 0;  ///< higher runs first; FIFO within a priority
   Algo algo = Algo::kPageRank;
-  EngineSel engine = EngineSel::kCyclops;
+  EngineKind engine = EngineKind::kCyclops;
 
-  double epsilon = 1e-6;
+  algo::JobParams params{.epsilon = 1e-6, .rounds = 4};
   Superstep max_supersteps = 50;
   unsigned mt_threads = 4;    ///< CyclopsMT compute threads
   unsigned mt_receivers = 2;  ///< CyclopsMT receiver threads
-  VertexId source = 0;        ///< SSSP
-  VertexId num_users = 0;     ///< ALS bipartite split
-  unsigned rounds = 4;        ///< ALS training rounds
 };
 
 /// What a finished job hands back: the result vector serialized to bytes

@@ -1,49 +1,19 @@
 #pragma once
-// Dispatch of one JobSpec onto one pinned Snapshot: validates the
-// (algorithm, engine) combination, instantiates the engine against the
-// snapshot's pre-built partition, runs it, and serializes the result values.
-// Every engine runs with its default single host thread, so concurrency
-// lives entirely in the scheduler and results stay bit-deterministic.
+// Dispatch of one JobSpec onto one pinned Snapshot: the job catalog picks
+// the program and engine Config, this file hands the engine the snapshot's
+// pre-built partition, runs it, and serializes the result values. Every
+// engine runs with its default single host thread, so concurrency lives
+// entirely in the scheduler and results stay bit-deterministic.
 
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "cyclops/algorithms/als.hpp"
-#include "cyclops/algorithms/cc.hpp"
-#include "cyclops/algorithms/pagerank.hpp"
-#include "cyclops/algorithms/sssp.hpp"
-#include "cyclops/bsp/engine.hpp"
+#include "cyclops/algorithms/catalog.hpp"
 #include "cyclops/common/crc32.hpp"
 #include "cyclops/common/serialize.hpp"
-#include "cyclops/core/engine.hpp"
-#include "cyclops/gas/engine.hpp"
 #include "cyclops/service/job.hpp"
 #include "cyclops/service/snapshot.hpp"
 
 namespace cyclops::service {
-
-/// Empty string when the spec can run on the snapshot; otherwise the reason
-/// the admission layer rejects it.
-[[nodiscard]] inline std::string validate(const JobSpec& spec, const Snapshot& snap) {
-  if (spec.engine == EngineSel::kGas && spec.algo != Algo::kPageRank &&
-      spec.algo != Algo::kSssp) {
-    return std::string("gas engine supports pr and sssp only, not ") +
-           algo_name(spec.algo);
-  }
-  if (spec.algo == Algo::kAls) {
-    if (spec.engine == EngineSel::kGas) {
-      return "gas engine supports pr and sssp only, not als";
-    }
-    if (spec.num_users == 0 || spec.num_users >= snap.store().num_vertices()) {
-      return "als requires 0 < num_users < num_vertices";
-    }
-  }
-  if (spec.algo == Algo::kSssp && spec.source >= snap.store().num_vertices()) {
-    return "sssp source out of range";
-  }
-  return {};
-}
 
 namespace detail {
 
@@ -58,111 +28,43 @@ JobResult pack_result(std::vector<Value> values, metrics::RunStats stats) {
   return r;
 }
 
-template <typename Prog>
-JobResult run_bsp(const Snapshot& snap, const JobSpec& spec, Prog prog) {
-  bsp::Config cfg;
-  cfg.topo = sim::Topology{snap.config().machines, snap.config().workers_per_machine};
-  cfg.max_supersteps = spec.max_supersteps;
-  bsp::Engine<Prog> engine(snap.store(), snap.edge_cut(), prog, cfg);
-  auto stats = engine.run();
-  const auto vals = engine.values();
-  return pack_result(std::vector(vals.begin(), vals.end()), std::move(stats));
-}
-
-template <typename Prog>
-JobResult run_cyclops(const Snapshot& snap, const JobSpec& spec, Prog prog, bool mt) {
-  core::Config cfg =
-      mt ? core::Config::cyclops_mt(snap.config().machines, spec.mt_threads,
-                                    spec.mt_receivers)
-         : core::Config::cyclops(snap.config().machines,
-                                 snap.config().workers_per_machine);
-  cfg.max_supersteps = spec.max_supersteps;
-  const auto& part = mt ? snap.mt_edge_cut() : snap.edge_cut();
-  core::Engine<Prog> engine(snap.store(), part, prog, cfg);
-  auto stats = engine.run();
-  return pack_result(engine.values(), std::move(stats));
-}
-
 // GAS values go through a projection to a padding-free scalar before
 // serialization: PageRankGas::Value carries trailing struct padding whose
 // bytes are unspecified, which would break the byte-identity contract.
-template <typename Prog, typename Project>
-JobResult run_gas(const Snapshot& snap, const JobSpec& spec, Prog prog, Project proj) {
-  gas::Config cfg;
-  cfg.topo = sim::Topology{snap.config().machines, 1};
-  cfg.max_iterations = spec.max_supersteps;
-  gas::Engine<Prog> engine(snap.store(), snap.vertex_cut(), prog, cfg);
-  auto stats = engine.run();
-  const auto vals = engine.values();
-  std::vector<double> out;
-  out.reserve(vals.size());
-  for (const auto& v : vals) out.push_back(proj(v));
-  return pack_result(std::move(out), std::move(stats));
-}
+inline double gas_scalar(double dist) { return dist; }
+inline double gas_scalar(const algo::PageRankGas::Value& v) { return v.rank; }
 
 }  // namespace detail
 
-/// Runs the job; the caller must have validated the spec (CYCLOPS_CHECK
+/// Runs the job; the caller must have checked algo::unsupported() (with_job
 /// enforces it). The snapshot must stay pinned for the duration.
 [[nodiscard]] inline JobResult run_on_snapshot(const Snapshot& snap, const JobSpec& spec) {
-  CYCLOPS_CHECK(validate(spec, snap).empty());
-  const bool mt = spec.engine == EngineSel::kCyclopsMT;
-  switch (spec.algo) {
-    case Algo::kPageRank: {
-      if (spec.engine == EngineSel::kGas) {
-        algo::PageRankGas prog;
-        prog.num_vertices = snap.store().num_vertices();
-        prog.epsilon = spec.epsilon;
-        return detail::run_gas(snap, spec, prog,
-                               [](const algo::PageRankGas::Value& v) { return v.rank; });
-      }
-      if (spec.engine == EngineSel::kHama) {
-        algo::PageRankBsp prog;
-        prog.epsilon = spec.epsilon;
-        return detail::run_bsp(snap, spec, prog);
-      }
-      algo::PageRankCyclops prog;
-      prog.epsilon = spec.epsilon;
-      return detail::run_cyclops(snap, spec, prog, mt);
-    }
-    case Algo::kSssp: {
-      if (spec.engine == EngineSel::kGas) {
-        algo::SsspGas prog;
-        prog.source = spec.source;
-        return detail::run_gas(snap, spec, prog, [](double dist) { return dist; });
-      }
-      if (spec.engine == EngineSel::kHama) {
-        algo::SsspBsp prog;
-        prog.source = spec.source;
-        return detail::run_bsp(snap, spec, prog);
-      }
-      algo::SsspCyclops prog;
-      prog.source = spec.source;
-      return detail::run_cyclops(snap, spec, prog, mt);
-    }
-    case Algo::kCc: {
-      if (spec.engine == EngineSel::kHama) {
-        algo::CcBsp prog;
-        return detail::run_bsp(snap, spec, prog);
-      }
-      algo::CcCyclops prog;
-      return detail::run_cyclops(snap, spec, prog, mt);
-    }
-    case Algo::kAls: {
-      if (spec.engine == EngineSel::kHama) {
-        algo::AlsBsp prog;
-        prog.num_users = spec.num_users;
-        prog.rounds = spec.rounds;
-        return detail::run_bsp(snap, spec, prog);
-      }
-      algo::AlsCyclops prog;
-      prog.num_users = spec.num_users;
-      prog.rounds = spec.rounds;
-      return detail::run_cyclops(snap, spec, prog, mt);
-    }
-  }
-  CYCLOPS_CHECK(false);
-  return {};
+  const SnapshotConfig& sc = snap.config();
+  const algo::ClusterShape shape{.machines = sc.machines,
+                                 .workers_per_machine = sc.workers_per_machine,
+                                 .mt_threads = spec.mt_threads,
+                                 .mt_receivers = spec.mt_receivers,
+                                 .max_supersteps = spec.max_supersteps};
+  return algo::with_job(
+      snap.store(), spec.algo, spec.engine, spec.params, shape,
+      [&]<typename Engine>(std::type_identity<Engine>, const auto& prog, const auto& cfg) {
+        if constexpr (algo::kVertexCut<Engine>) {
+          Engine engine(snap.store(), snap.vertex_cut(), prog, cfg);
+          auto stats = engine.run();
+          const auto vals = engine.values();
+          std::vector<double> out;
+          out.reserve(vals.size());
+          for (const auto& v : vals) out.push_back(detail::gas_scalar(v));
+          return detail::pack_result(std::move(out), std::move(stats));
+        } else {
+          const auto& part = spec.engine == EngineKind::kCyclopsMT ? snap.mt_edge_cut()
+                                                                    : snap.edge_cut();
+          Engine engine(snap.store(), part, prog, cfg);
+          auto stats = engine.run();
+          const auto vals = engine.values();
+          return detail::pack_result(std::vector(vals.begin(), vals.end()), std::move(stats));
+        }
+      });
 }
 
 }  // namespace cyclops::service

@@ -33,7 +33,8 @@ JobScheduler::~JobScheduler() { shutdown(); }
 Submission JobScheduler::submit(JobSpec spec, SnapshotRef snap) {
   CYCLOPS_CHECK(snap != nullptr);
   Submission out;
-  const std::string invalid = validate(spec, *snap);
+  const std::string invalid =
+      algo::unsupported(spec.algo, spec.engine, snap->store(), spec.params);
   LockGuard<Mutex> lock(mutex_);
   verify::race::MutexObserver mo(&mutex_);
   if (draining_) {
@@ -59,8 +60,8 @@ Submission JobScheduler::submit(JobSpec spec, SnapshotRef snap) {
   job->submitted = std::chrono::steady_clock::now();
   job->stats.job_id = job->id;
   job->stats.tenant = job->spec.tenant;
-  job->stats.algo = algo_name(job->spec.algo);
-  job->stats.engine = engine_name(job->spec.engine);
+  job->stats.algo = algo::token(job->spec.algo);
+  job->stats.engine = algo::token(job->spec.engine);
   job->stats.epoch = job->snap->epoch();
   job->stats.priority = job->spec.priority;
   stamp_job_locked(job->id, /*is_write=*/true, CYCLOPS_VLOC);

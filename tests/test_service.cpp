@@ -36,7 +36,7 @@ ServiceConfig small_config() {
   return cfg;
 }
 
-JobSpec spec_for(Algo algo, EngineSel engine, const std::string& tenant = "t0") {
+JobSpec spec_for(Algo algo, EngineKind engine, const std::string& tenant = "t0") {
   JobSpec spec;
   spec.algo = algo;
   spec.engine = engine;
@@ -92,7 +92,7 @@ TEST(SnapshotStore, SnapshotPrebuildsAllPartitions) {
 
 TEST(JobScheduler, RunsJobAndReportsStats) {
   Service svc(test_graph(), small_config());
-  const auto sub = svc.submit(spec_for(Algo::kPageRank, EngineSel::kCyclops));
+  const auto sub = svc.submit(spec_for(Algo::kPageRank, EngineKind::kCyclops));
   ASSERT_TRUE(sub.accepted);
   svc.scheduler().wait(sub.id);
 
@@ -113,10 +113,10 @@ TEST(JobScheduler, RunsJobAndReportsStats) {
 TEST(JobScheduler, RejectsInvalidSpecsWithReason) {
   Service svc(test_graph(), small_config());
   // GAS has no CC program; ALS needs a bipartite split.
-  const auto gas_cc = svc.submit(spec_for(Algo::kCc, EngineSel::kGas));
+  const auto gas_cc = svc.submit(spec_for(Algo::kCc, EngineKind::kGas));
   EXPECT_FALSE(gas_cc.accepted);
   EXPECT_NE(gas_cc.reason.find("gas engine"), std::string::npos);
-  const auto als = svc.submit(spec_for(Algo::kAls, EngineSel::kCyclops));
+  const auto als = svc.submit(spec_for(Algo::kAls, EngineKind::kCyclops));
   EXPECT_FALSE(als.accepted);
   EXPECT_EQ(svc.scheduler().counters().rejected, 2u);
   svc.wait_all();
@@ -127,9 +127,9 @@ TEST(JobScheduler, BoundedQueueRejectsWithQueueFull) {
   cfg.scheduler.max_queue = 2;
   cfg.scheduler.start_paused = true;  // nothing dispatches: queue fills
   Service svc(test_graph(), cfg);
-  EXPECT_TRUE(svc.submit(spec_for(Algo::kPageRank, EngineSel::kCyclops)).accepted);
-  EXPECT_TRUE(svc.submit(spec_for(Algo::kSssp, EngineSel::kHama)).accepted);
-  const auto third = svc.submit(spec_for(Algo::kCc, EngineSel::kCyclops));
+  EXPECT_TRUE(svc.submit(spec_for(Algo::kPageRank, EngineKind::kCyclops)).accepted);
+  EXPECT_TRUE(svc.submit(spec_for(Algo::kSssp, EngineKind::kHama)).accepted);
+  const auto third = svc.submit(spec_for(Algo::kCc, EngineKind::kCyclops));
   EXPECT_FALSE(third.accepted);
   EXPECT_NE(third.reason.find("queue full"), std::string::npos);
   EXPECT_EQ(svc.scheduler().counters().rejected, 1u);
@@ -143,9 +143,9 @@ TEST(JobScheduler, HigherPriorityDispatchesFirst) {
   cfg.scheduler.workers = 1;  // serialize so dispatch order == run order
   cfg.scheduler.start_paused = true;
   Service svc(test_graph(), cfg);
-  const auto low = svc.submit(spec_for(Algo::kPageRank, EngineSel::kCyclops, "a"));
-  const auto high = svc.submit(spec_for(Algo::kSssp, EngineSel::kCyclops, "b"));
-  auto urgent_spec = spec_for(Algo::kCc, EngineSel::kCyclops, "c");
+  const auto low = svc.submit(spec_for(Algo::kPageRank, EngineKind::kCyclops, "a"));
+  const auto high = svc.submit(spec_for(Algo::kSssp, EngineKind::kCyclops, "b"));
+  auto urgent_spec = spec_for(Algo::kCc, EngineKind::kCyclops, "c");
   urgent_spec.priority = 5;
   const auto urgent = svc.submit(urgent_spec);
   svc.scheduler().resume();
@@ -167,7 +167,7 @@ TEST(JobScheduler, PerTenantLimitPreventsOverlap) {
   Service svc(test_graph(), cfg);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 3; ++i) {
-    ids.push_back(svc.submit(spec_for(Algo::kPageRank, EngineSel::kCyclops)).id);
+    ids.push_back(svc.submit(spec_for(Algo::kPageRank, EngineKind::kCyclops)).id);
   }
   svc.wait_all();
   std::vector<metrics::JobStats> runs;
@@ -184,8 +184,8 @@ TEST(JobScheduler, CancelQueuedButNotRunning) {
   ServiceConfig cfg = small_config();
   cfg.scheduler.start_paused = true;
   Service svc(test_graph(), cfg);
-  const auto a = svc.submit(spec_for(Algo::kPageRank, EngineSel::kCyclops));
-  const auto b = svc.submit(spec_for(Algo::kSssp, EngineSel::kHama));
+  const auto a = svc.submit(spec_for(Algo::kPageRank, EngineKind::kCyclops));
+  const auto b = svc.submit(spec_for(Algo::kSssp, EngineKind::kHama));
   EXPECT_TRUE(svc.scheduler().cancel(b.id));
   EXPECT_EQ(svc.scheduler().stats_for(b.id).outcome, "cancelled");
   svc.scheduler().resume();
@@ -204,8 +204,8 @@ TEST(JobScheduler, CancelQueuedButNotRunning) {
 // for every engine family. (Run under TSan this also proves the snapshot
 // transition shares no mutable state with in-flight jobs.)
 TEST(ImmutabilityRegression, PinnedEpochResultsAreByteIdenticalAcrossTransition) {
-  const EngineSel engines[] = {EngineSel::kHama, EngineSel::kCyclops,
-                               EngineSel::kCyclopsMT, EngineSel::kGas};
+  const EngineKind engines[] = {EngineKind::kHama, EngineKind::kCyclops,
+                                EngineKind::kCyclopsMT, EngineKind::kGas};
   Service svc(test_graph(), small_config());
   const SnapshotRef epoch0 = svc.snapshots().current();
 
@@ -230,7 +230,7 @@ TEST(ImmutabilityRegression, PinnedEpochResultsAreByteIdenticalAcrossTransition)
     const auto again = svc.scheduler().result_for(pinned.id);
     ASSERT_NE(again, nullptr);
     EXPECT_EQ(again->payload, before[i].payload)
-        << engine_name(engines[i]) << " epoch-0 rerun not byte-identical";
+        << algo::token(engines[i]) << " epoch-0 rerun not byte-identical";
     EXPECT_EQ(again->crc, before[i].crc);
     EXPECT_EQ(svc.scheduler().stats_for(pinned.id).epoch, 0u);
 
@@ -241,7 +241,7 @@ TEST(ImmutabilityRegression, PinnedEpochResultsAreByteIdenticalAcrossTransition)
     const auto changed = svc.scheduler().result_for(fresh.id);
     ASSERT_NE(changed, nullptr);
     EXPECT_NE(changed->payload, before[i].payload)
-        << engine_name(engines[i]) << " ignored the topology delta";
+        << algo::token(engines[i]) << " ignored the topology delta";
   }
   svc.wait_all();
 }
@@ -256,7 +256,7 @@ TEST(ImmutabilityRegression, TransitionConcurrentWithRunningJobs) {
   for (int wave = 0; wave < 3; ++wave) {
     for (int i = 0; i < 4; ++i) {
       const auto sub = svc.submit(
-          spec_for(i % 2 ? Algo::kPageRank : Algo::kCc, EngineSel::kCyclops,
+          spec_for(i % 2 ? Algo::kPageRank : Algo::kCc, EngineKind::kCyclops,
                    "tenant-" + std::to_string(i)));
       ASSERT_TRUE(sub.accepted);
       ids.push_back(sub.id);

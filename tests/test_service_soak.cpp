@@ -30,8 +30,8 @@ TEST(ServiceSoak, MixedWorkloadWithConcurrentMutations) {
   Service svc(graph::gen::rmat(8, 1400, 99), cfg);
 
   const Algo algos[] = {Algo::kPageRank, Algo::kSssp, Algo::kCc};
-  const EngineSel engines[] = {EngineSel::kHama, EngineSel::kCyclops,
-                               EngineSel::kCyclopsMT, EngineSel::kGas};
+  const EngineKind engines[] = {EngineKind::kHama, EngineKind::kCyclops,
+                                EngineKind::kCyclopsMT, EngineKind::kGas};
   std::vector<std::uint64_t> ids;
   std::uint64_t skipped = 0;
   for (int wave = 0; wave < kWaves; ++wave) {

@@ -22,17 +22,14 @@
 #include <string>
 #include <vector>
 
-#include "cyclops/algorithms/als.hpp"
+#include "cyclops/algorithms/catalog.hpp"
 #include "cyclops/common/args.hpp"
 #include "cyclops/common/sync.hpp"
 #include "cyclops/algorithms/cc.hpp"
-#include "cyclops/algorithms/cd.hpp"
 #include "cyclops/algorithms/datasets.hpp"
 #include "cyclops/algorithms/pagerank.hpp"
 #include "cyclops/algorithms/sssp.hpp"
-#include "cyclops/bsp/engine.hpp"
 #include "cyclops/core/engine.hpp"
-#include "cyclops/gas/engine.hpp"
 #include "cyclops/graph/gstats.hpp"
 #include "cyclops/graph/loader.hpp"
 #include "cyclops/graph/store.hpp"
@@ -52,10 +49,12 @@
 namespace {
 
 using namespace cyclops;
+using algo::Algo;
+using algo::EngineKind;
 
 struct Options {
-  std::string algo = "pr";          // pr | sssp | cd | cc | als
-  std::string engine = "cyclops";   // hama | cyclops | mt | gas
+  Algo algo = Algo::kPageRank;
+  EngineKind engine = EngineKind::kCyclops;
   std::string graph = "gen:gweb";   // file path or gen:<name>
   std::string partitioner = "hash"; // hash | ldg | multilevel
   WorkerId workers = 8;
@@ -131,6 +130,16 @@ struct Options {
     if (checkpoint_mode == "light") return runtime::CheckpointMode::kLightweight;
     if (checkpoint_mode == "heavy") return runtime::CheckpointMode::kHeavyweight;
     return dflt;
+  }
+  [[nodiscard]] algo::JobParams params() const {
+    return {.epsilon = epsilon, .source = source, .num_users = num_users, .rounds = rounds};
+  }
+  [[nodiscard]] algo::ClusterShape shape() const {
+    return {.machines = machines,
+            .workers_per_machine = workers / machines,
+            .mt_threads = threads,
+            .mt_receivers = receivers,
+            .max_supersteps = max_supersteps};
   }
 };
 
@@ -237,8 +246,8 @@ Options parse(int argc, char** argv) {
   }
   args::Parser p(static_cast<int>(rest.size()), rest.data());
   if (p.flag("--help") || p.flag("-h")) usage(0);
-  o.algo = p.get("--algo", o.algo);
-  o.engine = p.get("--engine", o.engine);
+  const std::string algo_tok = p.get("--algo", std::string(algo::token(o.algo)));
+  const std::string engine_tok = p.get("--engine", std::string(algo::token(o.engine)));
   o.graph = p.get("--graph", o.graph);
   o.partitioner = p.get("--partitioner", o.partitioner);
   o.workers = p.get("--workers", o.workers);
@@ -281,14 +290,15 @@ Options parse(int argc, char** argv) {
     std::fprintf(stderr, "--workers must be a positive multiple of --machines\n");
     std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded startup
   }
-  if (o.engine != "hama" && o.engine != "cyclops" && o.engine != "mt" &&
-      o.engine != "gas") {
-    args::Parser::fail("unknown engine '" + o.engine + "'");
+  if (const auto a = algo::parse_algo(algo_tok)) {
+    o.algo = *a;
+  } else {
+    args::Parser::fail("unknown algorithm '" + algo_tok + "'");
   }
-  // Serve-mode scripts carry their own algo/engine per job line; classic mode
-  // rejects unsupported combinations up front instead of falling back.
-  if (o.serve.empty() && o.engine == "gas" && o.algo != "pr" && o.algo != "sssp") {
-    args::Parser::fail("--engine gas supports pr and sssp only");
+  if (const auto e = algo::parse_engine(engine_tok)) {
+    o.engine = *e;
+  } else {
+    args::Parser::fail("unknown engine '" + engine_tok + "'");
   }
   if (!o.checkpoint_mode.empty() && o.checkpoint_mode != "light" &&
       o.checkpoint_mode != "heavy") {
@@ -303,7 +313,7 @@ Options parse(int argc, char** argv) {
     args::Parser::fail("--race is not supported in --serve mode");
   }
   if (!o.ingest.empty()) {
-    if (o.engine != "cyclops" && o.engine != "mt") {
+    if (o.engine != EngineKind::kCyclops && o.engine != EngineKind::kCyclopsMT) {
       args::Parser::fail("--ingest keeps incremental engines warm; use --engine cyclops|mt");
     }
     if (o.race_seeds > 0 || o.fault_tolerant()) {
@@ -325,7 +335,7 @@ Options parse(int argc, char** argv) {
 graph::EdgeList load_graph(Options& o) {
   if (o.graph.rfind("gen:", 0) != 0) {
     graph::LoadOptions lo;
-    lo.undirected = (o.algo == "cd" || o.algo == "als");
+    lo.undirected = (o.algo == Algo::kCd || o.algo == Algo::kAls);
     return graph::load_edge_list_file(o.graph, lo);
   }
   const std::string name = o.graph.substr(4);
@@ -348,11 +358,12 @@ graph::EdgeList load_graph(Options& o) {
   return std::move(d.edges);
 }
 
-partition::EdgeCutPartition make_partition(const Options& o, const graph::GraphStore& g) {
-  if (o.partitioner == "hash") return partition::HashPartitioner{}.partition(g, o.workers);
-  if (o.partitioner == "ldg") return partition::LdgPartitioner{}.partition(g, o.workers);
+partition::EdgeCutPartition make_partition(const Options& o, const graph::GraphStore& g,
+                                           WorkerId parts) {
+  if (o.partitioner == "hash") return partition::HashPartitioner{}.partition(g, parts);
+  if (o.partitioner == "ldg") return partition::LdgPartitioner{}.partition(g, parts);
   if (o.partitioner == "multilevel") {
-    return partition::MultilevelPartitioner{}.partition(g, o.workers);
+    return partition::MultilevelPartitioner{}.partition(g, parts);
   }
   std::fprintf(stderr, "unknown partitioner '%s'\n", o.partitioner.c_str());
   std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded startup
@@ -429,11 +440,11 @@ std::shared_ptr<sim::MessageLog> make_message_log(const Options& o) {
 /// Runs one engine the way the flags ask: a race sweep over schedule seeds,
 /// a fault-tolerant run through the automated checkpoint/recovery runtime
 /// (the engine's natural checkpoint mode unless --checkpoint-mode says
-/// otherwise), or a plain run. `extra(engine, stats)` prints the engine's
-/// own lines after a plain run's summary.
-template <typename Engine, typename Part, typename Prog, typename Config, typename Extra>
+/// otherwise), or a plain run, which prints the engine's replication factor
+/// (Cyclops) and phase breakdown (Hama, Cyclops) after the summary.
+template <typename Engine, typename Part, typename Prog, typename Config>
 int run_engine(const Options& o, const std::string& label, const graph::GraphStore& g,
-               const Part& part, const Prog& prog, Config cfg, Extra&& extra) {
+               const Part& part, const Prog& prog, Config cfg) {
   if (o.race_seeds > 0) {
     return race_sweep(o, label,
                       [&](std::shared_ptr<sim::ScheduleExplorer> sched,
@@ -469,49 +480,53 @@ int run_engine(const Options& o, const std::string& label, const graph::GraphSto
   const auto stats = engine.run();
   std::printf("%s\n", metrics::run_summary(label, stats).c_str());
   if (o.verify_report) std::printf("%s\n", engine.verifier().summary().c_str());
-  extra(engine, stats);
+  if constexpr (!algo::kVertexCut<Engine>) {
+    if constexpr (requires { engine.layout(); }) {
+      std::printf("replication factor: %.2f, ingress %.3fs\n",
+                  engine.layout().replication_factor(g.num_vertices()), stats.ingress_s);
+    }
+    std::printf("%s\n", metrics::phase_breakdown_row("breakdown", stats, true).c_str());
+  }
   emit_csv(o, stats);
   return 0;
 }
 
-void print_breakdown(const metrics::RunStats& stats) {
-  std::printf("%s\n", metrics::phase_breakdown_row("breakdown", stats, true).c_str());
+/// Parses the rest of a `job <tenant> <prio> <algo> <engine>` script line
+/// into `spec`, which also takes this run's algorithm parameters and cluster
+/// shape. Returns what is wrong with the line, or an empty string.
+std::string parse_job(std::istringstream& ss, const Options& o, service::JobSpec& spec) {
+  std::string algo_tok, engine_tok;
+  if (!(ss >> spec.tenant >> spec.priority >> algo_tok >> engine_tok)) {
+    return "expected: job <tenant> <prio> <algo> <engine>";
+  }
+  const auto a = algo::parse_algo(algo_tok);
+  if (!a) return "unknown algorithm";
+  const auto e = algo::parse_engine(engine_tok);
+  if (!e) return "unknown engine";
+  spec.algo = *a;
+  spec.engine = *e;
+  spec.params = o.params();
+  spec.max_supersteps = o.max_supersteps;
+  spec.mt_threads = o.threads;
+  spec.mt_receivers = o.receivers;
+  return {};
 }
 
-template <typename Prog>
-int run_bsp(const Options& o, const graph::GraphStore& g, Prog prog) {
-  bsp::Config cfg;
-  cfg.topo = sim::Topology{o.machines, o.workers / o.machines};
-  cfg.max_supersteps = o.max_supersteps;
-  return run_engine<bsp::Engine<Prog>>(
-      o, "hama/" + o.algo, g, make_partition(o, g), prog, cfg,
-      [](const auto&, const metrics::RunStats& stats) { print_breakdown(stats); });
-}
-
-template <typename Prog>
-int run_cyclops(const Options& o, const graph::GraphStore& g, Prog prog, bool mt) {
-  core::Config cfg = mt ? core::Config::cyclops_mt(o.machines, o.threads, o.receivers)
-                        : core::Config::cyclops(o.machines, o.workers / o.machines);
-  cfg.max_supersteps = o.max_supersteps;
-  Options po = o;
-  po.workers = cfg.topo.total_workers();
-  return run_engine<core::Engine<Prog>>(
-      o, (mt ? "cyclops-mt/" : "cyclops/") + o.algo, g, make_partition(po, g), prog, cfg,
-      [&g](const core::Engine<Prog>& engine, const metrics::RunStats& stats) {
-        std::printf("replication factor: %.2f, ingress %.3fs\n",
-                    engine.layout().replication_factor(g.num_vertices()), stats.ingress_s);
-        print_breakdown(stats);
-      });
-}
-
-template <typename Prog>
-int run_gas(const Options& o, const graph::GraphStore& g, Prog prog) {
-  gas::Config cfg;
-  cfg.topo = sim::Topology{o.machines, 1};
-  cfg.max_iterations = o.max_supersteps;
-  return run_engine<gas::Engine<Prog>>(
-      o, "powergraph/" + o.algo, g, partition::RandomVertexCut{}.partition(g, o.machines),
-      prog, cfg, [](const auto&, const auto&) {});
+service::ServiceConfig service_config(const Options& o) {
+  service::ServiceConfig cfg;
+  cfg.snapshot.machines = o.machines;
+  cfg.snapshot.workers_per_machine = o.workers / o.machines;
+  cfg.snapshot.partitioner = o.partitioner;
+  cfg.snapshot.store = graph::parse_store_kind(o.store.kind);
+  cfg.snapshot.mem_cap_mb = o.store.mem_cap_mb;
+  cfg.snapshot.spill_dir = o.store.spill_dir;
+  cfg.snapshot.overlay_publish = o.overlay;
+  cfg.snapshot.compact_overlay_fraction = o.compact_threshold;
+  cfg.scheduler.workers = o.serve_workers;
+  cfg.scheduler.max_queue = o.serve_queue;
+  cfg.scheduler.per_tenant_running = o.tenant_limit;
+  cfg.scheduler.realize_modeled_factor = o.realize_modeled;
+  return cfg;
 }
 
 // Replays a scripted multi-tenant workload against the service: `job` lines
@@ -525,24 +540,13 @@ int run_serve(const Options& o, graph::EdgeList edges) {
     return 2;
   }
 
-  service::ServiceConfig cfg;
-  cfg.snapshot.machines = o.machines;
-  cfg.snapshot.workers_per_machine = o.workers / o.machines;
-  cfg.snapshot.partitioner = o.partitioner;
-  cfg.snapshot.store = graph::parse_store_kind(o.store.kind);
-  cfg.snapshot.mem_cap_mb = o.store.mem_cap_mb;
-  cfg.snapshot.spill_dir = o.store.spill_dir;
-  cfg.scheduler.workers = o.serve_workers;
-  cfg.scheduler.max_queue = o.serve_queue;
-  cfg.scheduler.per_tenant_running = o.tenant_limit;
-  cfg.scheduler.realize_modeled_factor = o.realize_modeled;
-  service::Service svc(std::move(edges), cfg);
+  service::Service svc(std::move(edges), service_config(o));
 
   core::TopologyDelta delta;
   std::string line;
   std::size_t lineno = 0;
-  auto bad = [&](const char* why) {
-    std::fprintf(stderr, "%s:%zu: %s\n", o.serve.c_str(), lineno, why);
+  auto bad = [&](const std::string& why) {
+    std::fprintf(stderr, "%s:%zu: %s\n", o.serve.c_str(), lineno, why.c_str());
     return 2;
   };
   while (std::getline(in, line)) {
@@ -552,28 +556,16 @@ int run_serve(const Options& o, graph::EdgeList edges) {
     if (!(ss >> cmd) || cmd[0] == '#') continue;
     if (cmd == "job") {
       service::JobSpec spec;
-      std::string algo, engine;
-      if (!(ss >> spec.tenant >> spec.priority >> algo >> engine)) {
-        return bad("expected: job <tenant> <prio> <algo> <engine>");
-      }
-      if (!service::parse_algo(algo, spec.algo)) return bad("unknown algorithm");
-      if (!service::parse_engine(engine, spec.engine)) return bad("unknown engine");
-      spec.epsilon = o.epsilon;
-      spec.max_supersteps = o.max_supersteps;
-      spec.mt_threads = o.threads;
-      spec.mt_receivers = o.receivers;
-      spec.source = o.source;
-      spec.num_users = o.num_users;
-      spec.rounds = o.rounds;
+      if (const std::string why = parse_job(ss, o, spec); !why.empty()) return bad(why);
       const auto sub = svc.submit(spec);
       if (sub.accepted) {
         std::printf("submitted job #%llu: %s/%s for %s (epoch %llu)\n",
-                    static_cast<unsigned long long>(sub.id), engine.c_str(),
-                    algo.c_str(), spec.tenant.c_str(),
+                    static_cast<unsigned long long>(sub.id), algo::token(spec.engine),
+                    algo::token(spec.algo), spec.tenant.c_str(),
                     static_cast<unsigned long long>(svc.snapshots().current_epoch()));
       } else {
-        std::printf("rejected %s/%s for %s: %s\n", engine.c_str(), algo.c_str(),
-                    spec.tenant.c_str(), sub.reason.c_str());
+        std::printf("rejected %s/%s for %s: %s\n", algo::token(spec.engine),
+                    algo::token(spec.algo), spec.tenant.c_str(), sub.reason.c_str());
       }
     } else if (cmd == "add") {
       VertexId u = 0, v = 0;
@@ -630,18 +622,10 @@ int replay_query_load(const Options& o, service::Service& svc) {
     if (!(ss >> cmd) || cmd[0] == '#') continue;
     if (cmd == "job") {
       service::JobSpec spec;
-      std::string algo, engine;
-      if (!(ss >> spec.tenant >> spec.priority >> algo >> engine) ||
-          !service::parse_algo(algo, spec.algo) ||
-          !service::parse_engine(engine, spec.engine)) {
-        std::fprintf(stderr, "%s:%zu: bad job line\n", o.serve.c_str(), lineno);
+      if (const std::string why = parse_job(ss, o, spec); !why.empty()) {
+        std::fprintf(stderr, "%s:%zu: %s\n", o.serve.c_str(), lineno, why.c_str());
         return 2;
       }
-      spec.epsilon = o.epsilon;
-      spec.max_supersteps = o.max_supersteps;
-      spec.mt_threads = o.threads;
-      spec.mt_receivers = o.receivers;
-      spec.source = o.source;
       (void)svc.submit(spec);  // rejection (queue full) is valid load-shedding
     } else if (cmd == "wait") {
       svc.wait_all();
@@ -672,7 +656,7 @@ struct IngestTally {
 // on the final snapshot — exits nonzero if any incremental result diverges
 // (SSSP/CC bit-identical, PageRank within fixpoint tolerance).
 int run_ingest(const Options& o, graph::EdgeList edges) {
-  const bool mt = o.engine == "mt";
+  const bool mt = o.engine == EngineKind::kCyclopsMT;
   bool want_pr = false, want_sssp = false, want_cc = false;
   {
     std::istringstream ss(o.ingest_algos);
@@ -692,19 +676,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
     return 2;
   }
 
-  service::ServiceConfig cfg;
-  cfg.snapshot.machines = o.machines;
-  cfg.snapshot.workers_per_machine = o.workers / o.machines;
-  cfg.snapshot.partitioner = o.partitioner;
-  cfg.snapshot.store = graph::parse_store_kind(o.store.kind);
-  cfg.snapshot.mem_cap_mb = o.store.mem_cap_mb;
-  cfg.snapshot.spill_dir = o.store.spill_dir;
-  cfg.snapshot.overlay_publish = o.overlay;
-  cfg.snapshot.compact_overlay_fraction = o.compact_threshold;
-  cfg.scheduler.workers = o.serve_workers;
-  cfg.scheduler.max_queue = o.serve_queue;
-  cfg.scheduler.per_tenant_running = o.tenant_limit;
-  cfg.scheduler.realize_modeled_factor = o.realize_modeled;
+  const service::ServiceConfig cfg = service_config(o);
   service::Service svc(std::move(edges), cfg);
   const service::SnapshotRef base = svc.snapshots().current();
 
@@ -913,74 +885,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bool mt = o.engine == "mt";
-  if (o.algo == "pr") {
-    if (o.engine == "gas") {
-      algo::PageRankGas prog;
-      prog.num_vertices = g.num_vertices();
-      prog.epsilon = o.epsilon;
-      return run_gas(o, g, prog);
-    }
-    if (o.engine == "hama") {
-      algo::PageRankBsp prog;
-      prog.epsilon = o.epsilon;
-      return run_bsp(o, g, prog);
-    }
-    algo::PageRankCyclops prog;
-    prog.epsilon = o.epsilon;
-    return run_cyclops(o, g, prog, mt);
+  if (const std::string why = algo::unsupported(o.algo, o.engine, g, o.params());
+      !why.empty()) {
+    args::Parser::fail(why);
   }
-  if (o.algo == "sssp") {
-    if (o.source >= g.num_vertices()) {
-      std::fprintf(stderr, "--source out of range\n");
-      return 2;
-    }
-    if (o.engine == "gas") {
-      algo::SsspGas prog;
-      prog.source = o.source;
-      return run_gas(o, g, prog);
-    }
-    if (o.engine == "hama") {
-      algo::SsspBsp prog;
-      prog.source = o.source;
-      return run_bsp(o, g, prog);
-    }
-    algo::SsspCyclops prog;
-    prog.source = o.source;
-    return run_cyclops(o, g, prog, mt);
-  }
-  if (o.algo == "cd") {
-    if (o.engine == "hama") {
-      algo::CdBsp prog;
-      return run_bsp(o, g, prog);
-    }
-    algo::CdCyclops prog;
-    return run_cyclops(o, g, prog, mt);
-  }
-  if (o.algo == "cc") {
-    if (o.engine == "hama") {
-      algo::CcBsp prog;
-      return run_bsp(o, g, prog);
-    }
-    algo::CcCyclops prog;
-    return run_cyclops(o, g, prog, mt);
-  }
-  if (o.algo == "als") {
-    if (o.num_users == 0) {
-      std::fprintf(stderr, "--users required for ALS on file graphs\n");
-      return 2;
-    }
-    if (o.engine == "hama") {
-      algo::AlsBsp prog;
-      prog.num_users = o.num_users;
-      prog.rounds = o.rounds;
-      return run_bsp(o, g, prog);
-    }
-    algo::AlsCyclops prog;
-    prog.num_users = o.num_users;
-    prog.rounds = o.rounds;
-    return run_cyclops(o, g, prog, mt);
-  }
-  std::fprintf(stderr, "unknown algorithm '%s'\n", o.algo.c_str());
-  return 2;
+  const std::string label = std::string(algo::token(o.engine)) + "/" + algo::token(o.algo);
+  return algo::with_job(
+      g, o.algo, o.engine, o.params(), o.shape(),
+      [&]<typename Engine>(std::type_identity<Engine>, const auto& prog, const auto& cfg) {
+        const WorkerId parts = cfg.topo.total_workers();
+        const auto part = [&] {
+          if constexpr (algo::kVertexCut<Engine>) {
+            return partition::RandomVertexCut{}.partition(g, parts);
+          } else {
+            return make_partition(o, g, parts);
+          }
+        }();
+        return run_engine<Engine>(o, label, g, part, prog, cfg);
+      });
 }
