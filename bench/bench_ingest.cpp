@@ -174,7 +174,7 @@ PublicationRow publication_run(const char* mode, bool overlay, const graph::Edge
 
 /// Replays `trace` through an ingestor; per epoch, advances the incremental
 /// engine and runs a cold engine from scratch on the same snapshot.
-template <typename Incremental, typename Prog>
+template <typename Prog>
 IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
                                const std::vector<ingest::MutationOp>& trace,
                                std::size_t batch, Prog prog,
@@ -183,7 +183,7 @@ IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
   IncrementalRow row;
   row.algo = algo;
 
-  Incremental inc(store.current(), prog, icfg);
+  ingest::Incremental<Prog> inc(store.current(), prog, icfg);
   (void)inc.cold_run();  // epoch-0 convergence is common to both sides
 
   ingest::MutationIngestor ingestor(store, {batch, /*max_delay_s=*/1e9});
@@ -196,7 +196,7 @@ IncrementalRow incremental_run(const char* algo, const graph::EdgeList& base,
     row.reset_vertices += adv.reset_vertices;
     row.activated_vertices += adv.activated_vertices;
 
-    Incremental cold(snap, prog, icfg);
+    ingest::Incremental<Prog> cold(snap, prog, icfg);
     const metrics::RunStats cs = cold.cold_run();
     row.cold_supersteps += cs.supersteps.size();
     row.cold_messages += cs.net_totals().total_messages();
@@ -343,31 +343,18 @@ int main(int argc, char** argv) {
 
   // 2+3. Incremental vs cold per epoch.
   std::vector<IncrementalRow> inc;
-  {
-    // Serving-grade tolerance: with epsilon above the per-delta perturbation
-    // scale, the incremental residual dies in a few rounds while a cold run
-    // still pays the full contraction depth. (At epsilon far below the
-    // perturbation, delta-PR's round count converges to the cold one — see
-    // the file header.)
-    algo::PageRankCyclops prog;
-    prog.epsilon = 1e-6;
-    inc.push_back(incremental_run<ingest::IncrementalPageRank>(
-        "pr", gweb, gweb_trace, batch, prog,
-        ingest::make_incremental_config(snapshot_config(true), false, 4, 2, 5000)));
-  }
-  {
-    algo::SsspCyclops prog;
-    prog.source = 0;
-    inc.push_back(incremental_run<ingest::IncrementalSssp>(
-        "sssp", grid, grid_trace, batch, prog,
-        ingest::make_incremental_config(snapshot_config(true), false, 4, 2, 5000)));
-  }
-  {
-    algo::CcCyclops prog;
-    inc.push_back(incremental_run<ingest::IncrementalCc>(
-        "cc", gweb, cc_trace, batch, prog,
-        ingest::make_incremental_config(snapshot_config(true), false, 4, 2, 5000)));
-  }
+  const ingest::IncrementalConfig icfg =
+      ingest::make_incremental_config(snapshot_config(true), false, 4, 2, 5000);
+  // Serving-grade PageRank tolerance: with epsilon above the per-delta
+  // perturbation scale, the incremental residual dies in a few rounds while a
+  // cold run still pays the full contraction depth. (At epsilon far below
+  // the perturbation, delta-PR's round count converges to the cold one — see
+  // the file header.)
+  inc.push_back(incremental_run("pr", gweb, gweb_trace, batch,
+                                algo::PageRankCyclops{.epsilon = 1e-6}, icfg));
+  inc.push_back(incremental_run("sssp", grid, grid_trace, batch,
+                                algo::SsspCyclops{.source = 0}, icfg));
+  inc.push_back(incremental_run("cc", gweb, cc_trace, batch, algo::CcCyclops{}, icfg));
 
   Table inc_table({"algo", "epochs", "supersteps inc/cold", "ratio",
                    "messages inc/cold", "ratio", "modeled(s) inc/cold", "ratio"});

@@ -7,17 +7,6 @@
 #include "cyclops/algorithms/catalog.hpp"
 
 namespace cyclops::ingest {
-namespace {
-
-/// Touched vertices that exist in the new snapshot (mutation endpoints can
-/// reference ids the canonical delta cancelled before they grew the graph).
-std::vector<VertexId> touched_in_range(const core::TopologyDelta& delta, VertexId n) {
-  std::vector<VertexId> touched = delta.touched_vertices();
-  std::erase_if(touched, [n](VertexId v) { return v >= n; });
-  return touched;
-}
-
-}  // namespace
 
 IncrementalConfig make_incremental_config(const service::SnapshotConfig& snap, bool mt,
                                           unsigned threads, unsigned receivers,
@@ -28,10 +17,8 @@ IncrementalConfig make_incremental_config(const service::SnapshotConfig& snap, b
                                  .mt_receivers = receivers,
                                  .max_supersteps = max_supersteps};
   IncrementalConfig cfg;
-  cfg.mt = mt;
   cfg.engine = mt ? algo::engine_config<algo::EngineKind::kCyclopsMT>(shape)
                   : algo::engine_config<algo::EngineKind::kCyclops>(shape);
-  cfg.extend_per_epoch = max_supersteps;
   return cfg;
 }
 
@@ -110,136 +97,107 @@ std::vector<VertexId> sssp_affected_by_removal(const graph::GraphStore& g,
 }
 
 // ---------------------------------------------------------------------------
-// delta-PageRank
+// Per-program policies: after rebuild(), reset or wake what the delta touched.
 
-IncrementalPageRank::IncrementalPageRank(service::SnapshotRef snap, algo::PageRankCyclops prog,
-                                         IncrementalConfig cfg)
-    : cfg_(cfg),
-      prog_(prog),
-      snap_(std::move(snap)),
-      engine_(snap_->store(), cfg_.mt ? snap_->mt_edge_cut() : snap_->edge_cut(), prog_,
-              cfg_.engine) {}
+namespace {
 
-EpochAdvance IncrementalPageRank::advance(service::SnapshotRef next,
-                                          const core::TopologyDelta& delta) {
-  EpochAdvance out;
-  out.epoch = next->epoch();
-  const VertexId old_n = snap_->store().num_vertices();
-  const graph::GraphStore& g = next->store();
+/// Touched vertices that exist in the new snapshot (mutation endpoints can
+/// reference ids the canonical delta cancelled before they grew the graph).
+std::vector<VertexId> touched_in_range(const core::TopologyDelta& delta, VertexId n) {
+  std::vector<VertexId> touched = delta.touched_vertices();
+  std::erase_if(touched, [n](VertexId v) { return v >= n; });
+  return touched;
+}
+
+/// What one policy did: vertices re-initialized in place, and vertices
+/// re-activated without a reset.
+struct PolicyCounts {
+  std::size_t reset = 0;
+  std::size_t activated = 0;
+};
+
+/// delta-PageRank.
+PolicyCounts apply_policy(core::Engine<algo::PageRankCyclops>& engine,
+                          const algo::PageRankCyclops& /*prog*/, const IncrementalConfig& cfg,
+                          const graph::GraphStore& g, VertexId old_n,
+                          const core::TopologyDelta& delta) {
+  PolicyCounts out;
   const VertexId n = g.num_vertices();
-  out.rebuild_s = engine_.rebuild(g, cfg_.mt ? next->mt_edge_cut() : next->edge_cut());
-
   const auto reset_with_fresh_share = [&](VertexId v) {
-    const double value = engine_.value_at(v);
+    const double value = engine.value_at(v);
     const auto d = g.out_degree(v);
-    engine_.reset_vertex(v, value, d > 0 ? value / static_cast<double>(d) : 0.0);
+    engine.reset_vertex(v, value, d > 0 ? value / static_cast<double>(d) : 0.0);
   };
   if (n != old_n) {
     // The (1-d)/n teleport term shifted for every vertex: carry the values as
     // a warm start but re-expose every share and re-activate everything.
     for (VertexId v = 0; v < old_n && v < n; ++v) reset_with_fresh_share(v);
-    out.reset_vertices = std::min<std::size_t>(old_n, n);
+    out.reset = std::min<std::size_t>(old_n, n);
   } else {
     // Degree changes invalidate the exposed value/out-degree share even when
     // the value itself is converged — rewrite it in place, then wake the
     // k-hop downstream halo so the rank shift propagates.
     const std::vector<VertexId> touched = touched_in_range(delta, n);
     for (const VertexId v : touched) reset_with_fresh_share(v);
-    out.reset_vertices = touched.size();
-    for (const VertexId v : khop_out(g, touched, cfg_.pr_hops)) {
-      engine_.activate(v);
-      ++out.activated_vertices;
+    out.reset = touched.size();
+    for (const VertexId v : khop_out(g, touched, cfg.pr_hops)) {
+      engine.activate(v);
+      ++out.activated;
     }
   }
-
-  engine_.extend_max_supersteps(cfg_.extend_per_epoch);
-  out.run = engine_.run();
-  snap_ = std::move(next);
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// incremental SSSP
-
-IncrementalSssp::IncrementalSssp(service::SnapshotRef snap, algo::SsspCyclops prog,
-                                 IncrementalConfig cfg)
-    : cfg_(cfg),
-      prog_(prog),
-      snap_(std::move(snap)),
-      engine_(snap_->store(), cfg_.mt ? snap_->mt_edge_cut() : snap_->edge_cut(), prog_,
-              cfg_.engine) {}
-
-EpochAdvance IncrementalSssp::advance(service::SnapshotRef next,
-                                      const core::TopologyDelta& delta) {
-  EpochAdvance out;
-  out.epoch = next->epoch();
-  const graph::GraphStore& g = next->store();
+/// Incremental SSSP.
+PolicyCounts apply_policy(core::Engine<algo::SsspCyclops>& engine,
+                          const algo::SsspCyclops& prog, const IncrementalConfig& /*cfg*/,
+                          const graph::GraphStore& g, VertexId /*old_n*/,
+                          const core::TopologyDelta& delta) {
+  PolicyCounts out;
   const VertexId n = g.num_vertices();
-  out.rebuild_s = engine_.rebuild(g, cfg_.mt ? next->mt_edge_cut() : next->edge_cut());
-
   const core::TopologyDelta::Canonical canon = delta.canonical();
   // Adds can only shorten paths: re-relaxing each new edge's head from the
   // carried labels is exactly one more round of the monotone fixpoint.
   for (const graph::Edge& e : canon.adds) {
     if (e.dst < n) {
-      engine_.activate(e.dst);
-      ++out.activated_vertices;
+      engine.activate(e.dst);
+      ++out.activated;
     }
   }
   if (!canon.removes.empty()) {
     // Removals can lengthen paths, which the monotone min-relaxation cannot
     // express — re-initialize the orphaned region and let its intact
     // boundary re-relax into it.
-    const std::vector<double> dist = engine_.values();
+    const std::vector<double> dist = engine.values();
     const std::vector<VertexId> orphaned =
-        sssp_affected_by_removal(g, dist, canon.removes, prog_.source);
+        sssp_affected_by_removal(g, dist, canon.removes, prog.source);
     // reset_vertex re-activates each orphan; since Cyclops pulls, an active
     // orphan reads its intact in-neighbors' shared distances directly — the
     // boundary never needs to act, and orphan-to-orphan chains re-fill
     // through the usual improve-and-broadcast cascade.
     for (const VertexId v : orphaned) {
-      engine_.reset_vertex(v, algo::kInfDistance, algo::kInfDistance);
-      ++out.reset_vertices;
+      engine.reset_vertex(v, algo::kInfDistance, algo::kInfDistance);
+      ++out.reset;
     }
   }
-
-  engine_.extend_max_supersteps(cfg_.extend_per_epoch);
-  out.run = engine_.run();
-  snap_ = std::move(next);
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// incremental CC
-
-IncrementalCc::IncrementalCc(service::SnapshotRef snap, algo::CcCyclops prog,
-                             IncrementalConfig cfg)
-    : cfg_(cfg),
-      prog_(prog),
-      snap_(std::move(snap)),
-      engine_(snap_->store(), cfg_.mt ? snap_->mt_edge_cut() : snap_->edge_cut(), prog_,
-              cfg_.engine) {}
-
-EpochAdvance IncrementalCc::advance(service::SnapshotRef next,
-                                    const core::TopologyDelta& delta) {
-  EpochAdvance out;
-  out.epoch = next->epoch();
-  const graph::GraphStore& g = next->store();
+/// Incremental CC.
+PolicyCounts apply_policy(core::Engine<algo::CcCyclops>& engine, const algo::CcCyclops& /*prog*/,
+                          const IncrementalConfig& /*cfg*/, const graph::GraphStore& g,
+                          VertexId /*old_n*/, const core::TopologyDelta& delta) {
+  PolicyCounts out;
   const VertexId n = g.num_vertices();
-  out.rebuild_s = engine_.rebuild(g, cfg_.mt ? next->mt_edge_cut() : next->edge_cut());
-
   const core::TopologyDelta::Canonical canon = delta.canonical();
-  const std::vector<VertexId> labels = engine_.values();
   // Labels only flow downward (min), so an add just merges: waking both
   // endpoints lets the smaller label cross the new edge.
   for (const graph::Edge& e : canon.adds) {
-    if (e.src < n) {
-      engine_.activate(e.src);
-      ++out.activated_vertices;
-    }
-    if (e.dst < n) {
-      engine_.activate(e.dst);
-      ++out.activated_vertices;
+    for (const VertexId v : {e.src, e.dst}) {
+      if (v < n) {
+        engine.activate(v);
+        ++out.activated;
+      }
     }
   }
   if (!canon.removes.empty()) {
@@ -247,6 +205,7 @@ EpochAdvance IncrementalCc::advance(service::SnapshotRef next,
     // label — re-initialize every vertex of each affected component and
     // replay the (exact) min-label fixpoint inside it. New vertices beyond
     // the carried label range are freshly initialized by rebuild() already.
+    const std::vector<VertexId> labels = engine.values();
     std::vector<VertexId> hit;
     for (const graph::Edge& e : canon.removes) {
       if (e.src < labels.size()) hit.push_back(labels[e.src]);
@@ -256,16 +215,47 @@ EpochAdvance IncrementalCc::advance(service::SnapshotRef next,
     hit.erase(std::unique(hit.begin(), hit.end()), hit.end());
     for (VertexId v = 0; v < labels.size() && v < n; ++v) {
       if (std::binary_search(hit.begin(), hit.end(), labels[v])) {
-        engine_.reset_vertex(v, v, v);
-        ++out.reset_vertices;
+        engine.reset_vertex(v, v, v);
+        ++out.reset;
       }
     }
   }
+  return out;
+}
 
-  engine_.extend_max_supersteps(cfg_.extend_per_epoch);
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The shell
+
+template <typename Program>
+Incremental<Program>::Incremental(service::SnapshotRef snap, Program prog,
+                                  IncrementalConfig cfg)
+    : cfg_(cfg),
+      prog_(prog),
+      snap_(std::move(snap)),
+      engine_(snap_->store(), snap_->edge_cut_for(cfg_.engine.topo.total_workers()), prog_,
+              cfg_.engine) {}
+
+template <typename Program>
+EpochAdvance Incremental<Program>::advance(service::SnapshotRef next,
+                                           const core::TopologyDelta& delta) {
+  EpochAdvance out;
+  out.epoch = next->epoch();
+  const VertexId old_n = snap_->store().num_vertices();
+  const graph::GraphStore& g = next->store();
+  out.rebuild_s = engine_.rebuild(g, next->edge_cut_for(cfg_.engine.topo.total_workers()));
+  const PolicyCounts counts = apply_policy(engine_, prog_, cfg_, g, old_n, delta);
+  out.reset_vertices = counts.reset;
+  out.activated_vertices = counts.activated;
+  engine_.extend_max_supersteps(cfg_.engine.max_supersteps);
   out.run = engine_.run();
   snap_ = std::move(next);
   return out;
 }
+
+template class Incremental<algo::PageRankCyclops>;
+template class Incremental<algo::SsspCyclops>;
+template class Incremental<algo::CcCyclops>;
 
 }  // namespace cyclops::ingest

@@ -3,8 +3,9 @@
 // converged values with only the affected region re-activated, instead of
 // re-running from scratch on every published epoch. Built on the Cyclops
 // engine's mutation hooks (rebuild / activate / reset_vertex): the engine
-// carries master state across epochs by global id, and the per-algorithm
-// policies below decide what must be reset or re-activated:
+// carries master state across epochs by global id, one shell (Incremental)
+// drives it, and one policy per algorithm decides what must be reset or
+// re-activated:
 //
 //   - delta-PageRank: every touched vertex is reset in place (carried value,
 //     shared contribution recomputed against its *new* out-degree — degree
@@ -44,12 +45,11 @@
 namespace cyclops::ingest {
 
 struct IncrementalConfig {
-  /// Engine config; topology must match the partition family `mt` selects
-  /// (Config::cyclops ↔ edge_cut, Config::cyclops_mt ↔ mt_edge_cut).
+  /// Engine config. The shell runs on the snapshot's edge cut with
+  /// engine.topo.total_workers() parts, and each advance() raises the
+  /// superstep cap by engine.max_supersteps.
   core::Config engine;
-  bool mt = false;
-  unsigned pr_hops = 2;               ///< delta-PR re-activation radius
-  Superstep extend_per_epoch = 5000;  ///< superstep budget added per advance()
+  unsigned pr_hops = 2;  ///< delta-PR re-activation radius
 };
 
 /// The job catalog's Cyclops/CyclopsMT config for the snapshot's cluster
@@ -82,55 +82,31 @@ struct EpochAdvance {
     const graph::GraphStore& g, std::span<const double> dist,
     const std::vector<graph::Edge>& removes, VertexId source);
 
-class IncrementalPageRank {
+/// The incremental shell: one Cyclops engine kept converged across epochs.
+/// advance() re-targets it at the next snapshot, lets the program's policy
+/// reset or wake the affected vertices, and re-runs. Instantiated for
+/// PageRankCyclops, SsspCyclops and CcCyclops (incremental.cpp).
+template <typename Program>
+class Incremental {
  public:
-  IncrementalPageRank(service::SnapshotRef snap, algo::PageRankCyclops prog,
-                      IncrementalConfig cfg);
+  Incremental(service::SnapshotRef snap, Program prog, IncrementalConfig cfg);
   /// The initial from-scratch convergence on the pinned snapshot.
   metrics::RunStats cold_run() { return engine_.run(); }
   /// Re-targets the engine at `next` and re-converges incrementally.
   EpochAdvance advance(service::SnapshotRef next, const core::TopologyDelta& delta);
-  [[nodiscard]] std::vector<double> values() const { return engine_.values(); }
-  [[nodiscard]] core::Engine<algo::PageRankCyclops>& engine() noexcept { return engine_; }
+  [[nodiscard]] auto values() const { return engine_.values(); }
+  [[nodiscard]] core::Engine<Program>& engine() noexcept { return engine_; }
   [[nodiscard]] const service::SnapshotRef& snapshot() const noexcept { return snap_; }
 
  private:
   IncrementalConfig cfg_;
-  algo::PageRankCyclops prog_;
+  Program prog_;
   service::SnapshotRef snap_;
-  core::Engine<algo::PageRankCyclops> engine_;
+  core::Engine<Program> engine_;
 };
 
-class IncrementalSssp {
- public:
-  IncrementalSssp(service::SnapshotRef snap, algo::SsspCyclops prog, IncrementalConfig cfg);
-  metrics::RunStats cold_run() { return engine_.run(); }
-  EpochAdvance advance(service::SnapshotRef next, const core::TopologyDelta& delta);
-  [[nodiscard]] std::vector<double> values() const { return engine_.values(); }
-  [[nodiscard]] core::Engine<algo::SsspCyclops>& engine() noexcept { return engine_; }
-  [[nodiscard]] const service::SnapshotRef& snapshot() const noexcept { return snap_; }
-
- private:
-  IncrementalConfig cfg_;
-  algo::SsspCyclops prog_;
-  service::SnapshotRef snap_;
-  core::Engine<algo::SsspCyclops> engine_;
-};
-
-class IncrementalCc {
- public:
-  IncrementalCc(service::SnapshotRef snap, algo::CcCyclops prog, IncrementalConfig cfg);
-  metrics::RunStats cold_run() { return engine_.run(); }
-  EpochAdvance advance(service::SnapshotRef next, const core::TopologyDelta& delta);
-  [[nodiscard]] std::vector<VertexId> values() const { return engine_.values(); }
-  [[nodiscard]] core::Engine<algo::CcCyclops>& engine() noexcept { return engine_; }
-  [[nodiscard]] const service::SnapshotRef& snapshot() const noexcept { return snap_; }
-
- private:
-  IncrementalConfig cfg_;
-  algo::CcCyclops prog_;
-  service::SnapshotRef snap_;
-  core::Engine<algo::CcCyclops> engine_;
-};
+extern template class Incremental<algo::PageRankCyclops>;
+extern template class Incremental<algo::SsspCyclops>;
+extern template class Incremental<algo::CcCyclops>;
 
 }  // namespace cyclops::ingest

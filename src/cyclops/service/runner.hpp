@@ -57,9 +57,7 @@ inline double gas_scalar(const algo::PageRankGas::Value& v) { return v.rank; }
           for (const auto& v : vals) out.push_back(detail::gas_scalar(v));
           return detail::pack_result(std::move(out), std::move(stats));
         } else {
-          const auto& part = spec.engine == EngineKind::kCyclopsMT ? snap.mt_edge_cut()
-                                                                    : snap.edge_cut();
-          Engine engine(snap.store(), part, prog, cfg);
+          Engine engine(snap.store(), snap.edge_cut_for(cfg.topo.total_workers()), prog, cfg);
           auto stats = engine.run();
           const auto vals = engine.values();
           return detail::pack_result(std::vector(vals.begin(), vals.end()), std::move(stats));

@@ -101,6 +101,12 @@ Snapshot::~Snapshot() {
   verify::EpochRegistry::instance().retire(epoch_, CYCLOPS_VLOC);
 }
 
+const partition::EdgeCutPartition& Snapshot::edge_cut_for(WorkerId parts) const {
+  if (edge_cut_.num_parts() == parts) return edge_cut();
+  CYCLOPS_CHECK(mt_edge_cut_.num_parts() == parts);
+  return mt_edge_cut();
+}
+
 const graph::EdgeList& Snapshot::edges() const {
   verify::EpochRegistry::instance().on_read(epoch_, CYCLOPS_VLOC);
   if (!base_) return edges_;

@@ -110,6 +110,11 @@ class Snapshot {
     verify::EpochRegistry::instance().on_read(epoch_, CYCLOPS_VLOC);
     return mt_edge_cut_;
   }
+  /// The edge cut an engine with `parts` workers runs on — edge_cut() or
+  /// mt_edge_cut(), keyed by its Config's topo.total_workers(). When
+  /// workers_per_machine == 1 the two are the same cut. CYCLOPS_CHECKs that
+  /// a cut with `parts` parts exists.
+  [[nodiscard]] const partition::EdgeCutPartition& edge_cut_for(WorkerId parts) const;
   /// Vertex cut with one part per machine (PowerGraph/GAS). Overlay epochs
   /// build it lazily on the first GAS submission.
   [[nodiscard]] const partition::VertexCutPartition& vertex_cut() const;

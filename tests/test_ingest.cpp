@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cyclops/algorithms/cc.hpp"
@@ -295,90 +297,75 @@ TEST(IngestConcurrency, PinnedRunsAreScheduleAndPublishInvariant) {
 // ---------------------------------------------------------------------------
 // Incremental-vs-from-scratch equivalence suite
 
-/// Replays the equivalence trace through the ingestor with the given
-/// incremental engine attached; returns the final snapshot.
-template <typename Inc>
-service::SnapshotRef replay_incremental(service::SnapshotStore& store, Inc& inc,
-                                        bool undirected) {
-  ingest::MutationIngestor ing(store, ingest::IngestConfig{32, 1e9});
-  ing.set_epoch_hook([&](service::Epoch, const core::TopologyDelta& d) {
-    inc.advance(store.current(), d);
-  });
-  for (const ingest::MutationOp& op :
-       equivalence_trace(store.current()->store(), undirected)) {
-    ing.offer(op);
+/// Adds that grow the vertex set past |V| (both directions of 3-n, n-(n+6)
+/// and 9-(n+6)): they reach delta-PR's vertex-count branch and rebuild()'s
+/// new-vertex initialisation, which the in-range traces never do.
+std::vector<ingest::MutationOp> growth_trace(const graph::GraphStore& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<ingest::MutationOp> ops;
+  for (const auto& [u, v] : {std::pair{3u, n}, std::pair{n, n + 6}, std::pair{9u, n + 6}}) {
+    ops.push_back(ingest::MutationOp{0.0, /*is_add=*/true, u, v, 1.0});
+    ops.push_back(ingest::MutationOp{0.0, /*is_add=*/true, v, u, 1.0});
   }
-  ing.flush();
-  return store.current();
+  return ops;
 }
 
-void pagerank_equivalence(bool mt) {
-  const std::uint64_t violations_before = verify::EpochRegistry::instance().violations();
-  service::SnapshotConfig cfg = small_cfg(true);
-  service::SnapshotStore store(base_graph(), cfg);
-  // Tight epsilon: threshold convergence is O(epsilon x rounds) accurate, so
-  // the 1e-12 equivalence bar needs epsilon well below it.
-  ingest::IncrementalConfig icfg = ingest::make_incremental_config(cfg, mt, 2, 1, 2000);
-  algo::PageRankCyclops prog;
-  prog.epsilon = 1e-15;
-  ingest::IncrementalPageRank inc(store.current(), prog, icfg);
-  inc.cold_run();
-  const service::SnapshotRef fin = replay_incremental(store, inc, false);
+/// Replays the equivalence trace, then (on a fresh store) the growth trace,
+/// through the ingestor with an incremental engine attached, and compares
+/// each final result with a cold run of the same shell on the final snapshot.
+template <typename Program>
+void expect_equivalent(Program prog, bool mt) {
+  for (const bool growth : {false, true}) {
+    SCOPED_TRACE(growth ? "growth trace" : "equivalence trace");
+    const std::uint64_t violations_before = verify::EpochRegistry::instance().violations();
+    const service::SnapshotConfig cfg = small_cfg(true);
+    service::SnapshotStore store(base_graph(), cfg);
+    const ingest::IncrementalConfig icfg = ingest::make_incremental_config(cfg, mt, 2, 1, 2000);
+    ingest::Incremental<Program> inc(store.current(), prog, icfg);
+    inc.cold_run();
+    const graph::GraphStore& g = store.current()->store();
+    const std::vector<ingest::MutationOp> trace =
+        growth ? growth_trace(g)
+               : equivalence_trace(g, std::is_same_v<Program, algo::CcCyclops>);
+    ingest::MutationIngestor ing(store, ingest::IngestConfig{growth ? 2u : 32u, 1e9});
+    ing.set_epoch_hook([&](service::Epoch, const core::TopologyDelta& d) {
+      inc.advance(store.current(), d);
+    });
+    for (const ingest::MutationOp& op : trace) ing.offer(op);
+    ing.flush();
 
-  core::Engine<algo::PageRankCyclops> cold(
-      fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), prog, icfg.engine);
-  cold.run();
-  const std::vector<double> a = inc.values();
-  const std::vector<double> b = cold.values();
-  ASSERT_EQ(a.size(), b.size());
-  double max_diff = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
-  EXPECT_LE(max_diff, 1e-12);
-  EXPECT_EQ(verify::EpochRegistry::instance().violations(), violations_before);
+    ingest::Incremental<Program> cold(store.current(), prog, icfg);
+    cold.cold_run();
+    const auto a = inc.values();
+    const auto b = cold.values();
+    if constexpr (std::is_same_v<Program, algo::PageRankCyclops>) {
+      ASSERT_EQ(a.size(), b.size());
+      double max_diff = 0;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
+      }
+      EXPECT_LE(max_diff, 1e-12);
+    } else {
+      // SSSP distances are identical path-weight sums and CC labels are
+      // exact minima: bit-identical, not just close.
+      EXPECT_EQ(a, b);
+    }
+    EXPECT_EQ(verify::EpochRegistry::instance().violations(), violations_before);
+  }
 }
 
-void sssp_equivalence(bool mt) {
-  const std::uint64_t violations_before = verify::EpochRegistry::instance().violations();
-  service::SnapshotConfig cfg = small_cfg(true);
-  service::SnapshotStore store(base_graph(), cfg);
-  ingest::IncrementalConfig icfg = ingest::make_incremental_config(cfg, mt, 2, 1, 2000);
-  algo::SsspCyclops prog;
-  prog.source = 0;
-  ingest::IncrementalSssp inc(store.current(), prog, icfg);
-  inc.cold_run();
-  const service::SnapshotRef fin = replay_incremental(store, inc, false);
-
-  core::Engine<algo::SsspCyclops> cold(
-      fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), prog, icfg.engine);
-  cold.run();
-  // Distances are identical path-weight sums: bit-identical, not just close.
-  EXPECT_EQ(inc.values(), cold.values());
-  EXPECT_EQ(verify::EpochRegistry::instance().violations(), violations_before);
+// Tight PageRank epsilon: threshold convergence is O(epsilon x rounds)
+// accurate, so the 1e-12 equivalence bar needs epsilon well below it.
+TEST(IncrementalEquivalence, PageRankCyclops) {
+  expect_equivalent(algo::PageRankCyclops{.epsilon = 1e-15}, false);
 }
-
-void cc_equivalence(bool mt) {
-  const std::uint64_t violations_before = verify::EpochRegistry::instance().violations();
-  service::SnapshotConfig cfg = small_cfg(true);
-  service::SnapshotStore store(base_graph(), cfg);
-  ingest::IncrementalConfig icfg = ingest::make_incremental_config(cfg, mt, 2, 1, 2000);
-  ingest::IncrementalCc inc(store.current(), algo::CcCyclops{}, icfg);
-  inc.cold_run();
-  const service::SnapshotRef fin = replay_incremental(store, inc, true);
-
-  core::Engine<algo::CcCyclops> cold(
-      fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), algo::CcCyclops{},
-      icfg.engine);
-  cold.run();
-  EXPECT_EQ(inc.values(), cold.values());
-  EXPECT_EQ(verify::EpochRegistry::instance().violations(), violations_before);
+TEST(IncrementalEquivalence, PageRankCyclopsMt) {
+  expect_equivalent(algo::PageRankCyclops{.epsilon = 1e-15}, true);
 }
-
-TEST(IncrementalEquivalence, PageRankCyclops) { pagerank_equivalence(false); }
-TEST(IncrementalEquivalence, PageRankCyclopsMt) { pagerank_equivalence(true); }
-TEST(IncrementalEquivalence, SsspCyclops) { sssp_equivalence(false); }
-TEST(IncrementalEquivalence, SsspCyclopsMt) { sssp_equivalence(true); }
-TEST(IncrementalEquivalence, CcCyclops) { cc_equivalence(false); }
-TEST(IncrementalEquivalence, CcCyclopsMt) { cc_equivalence(true); }
+TEST(IncrementalEquivalence, SsspCyclops) { expect_equivalent(algo::SsspCyclops{}, false); }
+TEST(IncrementalEquivalence, SsspCyclopsMt) { expect_equivalent(algo::SsspCyclops{}, true); }
+TEST(IncrementalEquivalence, CcCyclops) { expect_equivalent(algo::CcCyclops{}, false); }
+TEST(IncrementalEquivalence, CcCyclopsMt) { expect_equivalent(algo::CcCyclops{}, true); }
 
 // ---------------------------------------------------------------------------
 // Incremental helpers

@@ -10,6 +10,8 @@
 //
 // Run with --help for the full flag list.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +22,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cyclops/algorithms/catalog.hpp"
@@ -51,6 +54,9 @@ namespace {
 using namespace cyclops;
 using algo::Algo;
 using algo::EngineKind;
+
+/// The algorithms ingest mode can keep incrementally converged.
+constexpr std::array kIncrementalAlgos = {Algo::kPageRank, Algo::kSssp, Algo::kCc};
 
 struct Options {
   Algo algo = Algo::kPageRank;
@@ -87,7 +93,7 @@ struct Options {
   std::string ingest;                      // trace path or synth:<ops>
   std::size_t ingest_batch = 64;           // batching bound: staged-op count
   double ingest_delay_s = 0.05;            // batching bound: oldest-op wall time
-  std::string ingest_algos = "pr,sssp,cc"; // incremental engines to keep warm
+  std::vector<Algo> ingest_algos;          // incremental engines to keep warm
   unsigned ingest_hops = 2;                // delta-PR re-activation radius
   std::uint64_t ingest_seed = 1;           // synth:<ops> trace seed
   bool overlay = false;                    // structural-sharing publication
@@ -222,6 +228,30 @@ struct Options {
   std::exit(code);  // NOLINT(concurrency-mt-unsafe) — single-threaded startup
 }
 
+/// The comma list --ingest-algos names, in the catalog's vocabulary; exits 2
+/// on a token outside the incremental set or an empty selection.
+std::vector<Algo> parse_ingest_algos(const std::string& list) {
+  std::string choices;
+  for (const Algo a : kIncrementalAlgos) {
+    choices += std::string(choices.empty() ? "" : ", ") + algo::token(a);
+  }
+  std::vector<Algo> out;
+  std::istringstream ss(list);
+  for (std::string tok; std::getline(ss, tok, ',');) {
+    if (tok.empty()) continue;
+    const std::optional<Algo> a = algo::parse_algo(tok);
+    if (!a) args::Parser::fail("--ingest-algos: unknown algorithm '" + tok + "'");
+    if (std::find(kIncrementalAlgos.begin(), kIncrementalAlgos.end(), *a) ==
+        kIncrementalAlgos.end()) {
+      args::Parser::fail("--ingest-algos: " + tok + " has no incremental form; choose from " +
+                         choices);
+    }
+    out.push_back(*a);
+  }
+  if (out.empty()) args::Parser::fail("--ingest-algos selected no algorithms");
+  return out;
+}
+
 Options parse(int argc, char** argv) {
   // --race carries an optional inline count (--race=N), which the
   // consume-style Parser cannot express; strip it out up front.
@@ -272,7 +302,7 @@ Options parse(int argc, char** argv) {
   o.ingest = p.get("--ingest", o.ingest);
   o.ingest_batch = p.get("--ingest-batch", o.ingest_batch);
   o.ingest_delay_s = p.get("--ingest-delay", o.ingest_delay_s);
-  o.ingest_algos = p.get("--ingest-algos", o.ingest_algos);
+  const std::string ingest_algos = p.get("--ingest-algos", std::string("pr,sssp,cc"));
   o.ingest_hops = p.get("--ingest-hops", o.ingest_hops);
   o.ingest_seed = p.get("--ingest-seed", o.ingest_seed);
   o.overlay = p.flag("--overlay");
@@ -320,6 +350,7 @@ Options parse(int argc, char** argv) {
       args::Parser::fail("--ingest cannot combine with --race or fault flags");
     }
     if (o.ingest_batch == 0) args::Parser::fail("--ingest-batch must be positive");
+    o.ingest_algos = parse_ingest_algos(ingest_algos);
   }
   if (o.race_seeds > 0 && o.fault_tolerant()) {
     args::Parser::fail("--race runs fault-free engines; drop the fault flags");
@@ -336,7 +367,11 @@ graph::EdgeList load_graph(Options& o) {
   if (o.graph.rfind("gen:", 0) != 0) {
     graph::LoadOptions lo;
     lo.undirected = (o.algo == Algo::kCd || o.algo == Algo::kAls);
-    return graph::load_edge_list_file(o.graph, lo);
+    try {
+      return graph::load_edge_list_file(o.graph, lo);
+    } catch (const std::exception& e) {
+      args::Parser::fail(e.what());  // a missing or unreadable file exits 2
+    }
   }
   const std::string name = o.graph.substr(4);
   algo::DatasetScale scale;
@@ -640,13 +675,80 @@ int replay_query_load(const Options& o, service::Service& svc) {
   return 0;
 }
 
-/// Totals one incremental engine accumulates across all published epochs.
-struct IngestTally {
+/// One incremental program kept converged across the ingest run, with the
+/// totals it accumulates over all published epochs. run_ingest holds one per
+/// program in kIncrementalAlgos; an unselected lane never starts.
+template <typename Program>
+struct IngestLane {
+  IngestLane(Algo a, Program p) : algo(a), prog(p) {}
+
+  Algo algo;
+  Program prog;
+  std::optional<ingest::Incremental<Program>> inc;
   std::uint64_t supersteps = 0;
   std::uint64_t messages = 0;
   double modeled_s = 0;  ///< modeled phase + wire/barrier time (total_time_s)
-  std::size_t resets = 0;
-  std::size_t activated = 0;
+
+  void start(const service::SnapshotRef& base, const ingest::IncrementalConfig& icfg) {
+    inc.emplace(base, prog, icfg);
+    std::printf("%s\n", metrics::run_summary(std::string("ingest-cold/") + algo::token(algo),
+                                             inc->cold_run())
+                            .c_str());
+  }
+
+  void advance(service::Epoch epoch, const service::SnapshotRef& snap,
+               const core::TopologyDelta& delta) {
+    if (!inc) return;
+    const ingest::EpochAdvance adv = inc->advance(snap, delta);
+    supersteps += adv.run.supersteps.size();
+    messages += adv.run.net_totals().total_messages();
+    modeled_s += adv.run.total_time_s();
+    std::printf("[ingest] epoch %llu %s: %zu supersteps, %zu resets, %zu activated\n",
+                static_cast<unsigned long long>(epoch), algo::token(algo),
+                adv.run.supersteps.size(), adv.reset_vertices, adv.activated_vertices);
+  }
+
+  /// Runs the same shell cold on the final snapshot and prints the verdict
+  /// line; false if the incremental result diverged from it.
+  bool verdict(const service::SnapshotRef& fin, const ingest::IncrementalConfig& icfg,
+               std::uint64_t epochs, double epsilon) const {
+    if (!inc) return true;
+    ingest::Incremental<Program> cold(fin, prog, icfg);
+    const metrics::RunStats cs = cold.cold_run();
+    const auto a = inc->values();
+    const auto b = cold.values();
+    bool match = a == b;
+    double diff = match ? 0.0 : algo::kInfDistance;
+    if constexpr (std::is_same_v<Program, algo::PageRankCyclops>) {
+      diff = a.size() == b.size() ? 0.0 : algo::kInfDistance;
+      for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+        diff = std::max(diff, std::abs(a[i] - b[i]));
+      }
+      // Threshold convergence is O(epsilon x update rounds) accurate: a
+      // vertex with residual <= epsilon does not rebroadcast, so stale shares
+      // drift by up to epsilon per round — in the cold run and, cumulatively,
+      // across incremental epochs alike. Scale the tolerance accordingly;
+      // tight equivalence needs a tight --epsilon (the test suite uses 1e-15).
+      match = diff <= std::max(1e-12, epsilon * static_cast<double>(
+                                                    supersteps + cs.supersteps.size() + 1));
+    }
+    // A cold run that used its whole budget stopped short of its fixpoint, so
+    // the comparison is between two truncated runs.
+    const std::string budget =
+        cs.supersteps.size() >= icfg.engine.max_supersteps
+            ? "; cold run used its whole --max-supersteps budget (" +
+                  std::to_string(icfg.engine.max_supersteps) + ")"
+            : "";
+    const double e = static_cast<double>(std::max<std::uint64_t>(1, epochs));
+    std::printf("[ingest] %s: incremental avg/epoch %.1f supersteps, %.0f msgs, %.4fs "
+                "modeled vs cold %zu supersteps, %llu msgs, %.4fs modeled — %s"
+                " (max |diff| %.2e)%s\n",
+                algo::token(algo), static_cast<double>(supersteps) / e,
+                static_cast<double>(messages) / e, modeled_s / e, cs.supersteps.size(),
+                static_cast<unsigned long long>(cs.net_totals().total_messages()),
+                cs.total_time_s(), match ? "EQUIVALENT" : "DIVERGED", diff, budget.c_str());
+    return match;
+  }
 };
 
 // Streaming ingestion mode: replay a mutation trace through the batching
@@ -656,29 +758,19 @@ struct IngestTally {
 // on the final snapshot — exits nonzero if any incremental result diverges
 // (SSSP/CC bit-identical, PageRank within fixpoint tolerance).
 int run_ingest(const Options& o, graph::EdgeList edges) {
-  const bool mt = o.engine == EngineKind::kCyclopsMT;
-  bool want_pr = false, want_sssp = false, want_cc = false;
-  {
-    std::istringstream ss(o.ingest_algos);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      if (tok == "pr") want_pr = true;
-      else if (tok == "sssp") want_sssp = true;
-      else if (tok == "cc") want_cc = true;
-      else if (!tok.empty()) {
-        std::fprintf(stderr, "--ingest-algos: unknown algorithm '%s'\n", tok.c_str());
-        return 2;
-      }
-    }
-  }
-  if (!want_pr && !want_sssp && !want_cc) {
-    std::fprintf(stderr, "--ingest-algos selected no algorithms\n");
-    return 2;
-  }
-
+  const auto selected = [&](Algo a) {
+    return std::find(o.ingest_algos.begin(), o.ingest_algos.end(), a) != o.ingest_algos.end();
+  };
   const service::ServiceConfig cfg = service_config(o);
   service::Service svc(std::move(edges), cfg);
   const service::SnapshotRef base = svc.snapshots().current();
+  for (const Algo a : o.ingest_algos) {
+    if (const std::string why = algo::unsupported(a, o.engine, base->store(), o.params());
+        !why.empty()) {
+      std::fprintf(stderr, "%s\n", why.c_str());
+      return 2;
+    }
+  }
 
   std::vector<ingest::MutationOp> ops;
   try {
@@ -690,7 +782,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
         return 2;
       }
       spec.num_vertices = base->store().num_vertices();
-      spec.undirected = want_cc;  // CC expects both directions stored
+      spec.undirected = selected(Algo::kCc);  // CC expects both directions stored
       spec.seed = o.ingest_seed;
       ops = ingest::synth_trace(spec);
     } else {
@@ -704,56 +796,30 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
               ops.size(), o.ingest_batch, o.ingest_delay_s,
               o.overlay ? "overlay" : "flat");
 
-  ingest::IncrementalConfig icfg = ingest::make_incremental_config(
-      cfg.snapshot, mt, o.threads, o.receivers, o.max_supersteps);
+  ingest::IncrementalConfig icfg =
+      ingest::make_incremental_config(cfg.snapshot, o.engine == EngineKind::kCyclopsMT,
+                                      o.threads, o.receivers, o.max_supersteps);
   icfg.pr_hops = o.ingest_hops;
 
-  std::optional<ingest::IncrementalPageRank> ipr;
-  std::optional<ingest::IncrementalSssp> isssp;
-  std::optional<ingest::IncrementalCc> icc;
-  if (want_pr) {
-    algo::PageRankCyclops prog;
-    prog.epsilon = o.epsilon;
-    ipr.emplace(base, prog, icfg);
-    std::printf("%s\n", metrics::run_summary("ingest-cold/pr", ipr->cold_run()).c_str());
-  }
-  if (want_sssp) {
-    if (o.source >= base->store().num_vertices()) {
-      std::fprintf(stderr, "--source out of range\n");
-      return 2;
-    }
-    algo::SsspCyclops prog;
-    prog.source = o.source;
-    isssp.emplace(base, prog, icfg);
-    std::printf("%s\n", metrics::run_summary("ingest-cold/sssp", isssp->cold_run()).c_str());
-  }
-  if (want_cc) {
-    icc.emplace(base, algo::CcCyclops{}, icfg);
-    std::printf("%s\n", metrics::run_summary("ingest-cold/cc", icc->cold_run()).c_str());
-  }
+  IngestLane pr(Algo::kPageRank, algo::PageRankCyclops{.epsilon = o.epsilon});
+  IngestLane sssp(Algo::kSssp, algo::SsspCyclops{.source = o.source});
+  IngestLane cc(Algo::kCc, algo::CcCyclops{});
+  const auto each_lane = [&](auto&& fn) {
+    fn(pr);
+    fn(sssp);
+    fn(cc);
+  };
+  each_lane([&](auto& lane) {
+    if (selected(lane.algo)) lane.start(base, icfg);
+  });
 
-  IngestTally tpr, tsssp, tcc;
   std::uint64_t epochs_advanced = 0;
   ingest::MutationIngestor ingestor(svc.snapshots(),
                                     ingest::IngestConfig{o.ingest_batch, o.ingest_delay_s});
   ingestor.set_epoch_hook([&](service::Epoch epoch, const core::TopologyDelta& delta) {
     const service::SnapshotRef snap = svc.snapshots().current();
     ++epochs_advanced;
-    const auto step = [&](auto& eng, IngestTally& t, const char* name) {
-      if (!eng) return;
-      const ingest::EpochAdvance adv = eng->advance(snap, delta);
-      t.supersteps += adv.run.supersteps.size();
-      t.messages += adv.run.net_totals().total_messages();
-      t.modeled_s += adv.run.total_time_s();
-      t.resets += adv.reset_vertices;
-      t.activated += adv.activated_vertices;
-      std::printf("[ingest] epoch %llu %s: %zu supersteps, %zu resets, %zu activated\n",
-                  static_cast<unsigned long long>(epoch), name, adv.run.supersteps.size(),
-                  adv.reset_vertices, adv.activated_vertices);
-    };
-    step(ipr, tpr, "pr");
-    step(isssp, tsssp, "sssp");
-    step(icc, tcc, "cc");
+    each_lane([&](auto& lane) { lane.advance(epoch, snap, delta); });
   });
 
   // Optional concurrent query load: scheduler jobs pin epochs while the
@@ -789,67 +855,12 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
               static_cast<unsigned long long>(ss.overlay_epochs),
               static_cast<unsigned long long>(ss.compactions), ss.last_build_s);
 
-  // Final verdict: a cold engine on the final snapshot must agree with each
+  // Final verdict: a cold run on the final snapshot must agree with each
   // incrementally-maintained result.
   bool ok = true;
-  const auto compare = [&](const char* name, const IngestTally& t, std::uint64_t cold_ss,
-                           std::uint64_t cold_msgs, double cold_modeled_s, bool match,
-                           double max_diff) {
-    const double e = static_cast<double>(std::max<std::uint64_t>(1, epochs_advanced));
-    std::printf("[ingest] %s: incremental avg/epoch %.1f supersteps, %.0f msgs, %.4fs "
-                "modeled vs cold %llu supersteps, %llu msgs, %.4fs modeled — %s"
-                " (max |diff| %.2e)\n",
-                name, static_cast<double>(t.supersteps) / e,
-                static_cast<double>(t.messages) / e, t.modeled_s / e,
-                static_cast<unsigned long long>(cold_ss),
-                static_cast<unsigned long long>(cold_msgs), cold_modeled_s,
-                match ? "EQUIVALENT" : "DIVERGED", max_diff);
-    ok = ok && match;
-  };
-  if (ipr) {
-    algo::PageRankCyclops prog;
-    prog.epsilon = o.epsilon;
-    core::Engine<algo::PageRankCyclops> cold(
-        fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), prog, icfg.engine);
-    const auto cs = cold.run();
-    const auto a = ipr->values();
-    const auto b = cold.values();
-    double diff = a.size() == b.size() ? 0.0 : algo::kInfDistance;
-    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      diff = std::max(diff, std::abs(a[i] - b[i]));
-    }
-    // Threshold convergence is O(epsilon x update rounds) accurate: a vertex
-    // with residual <= epsilon does not rebroadcast, so stale shares drift
-    // by up to epsilon per round — in the cold run and, cumulatively, across
-    // incremental epochs alike. Scale the tolerance accordingly; tight
-    // equivalence needs a tight --epsilon (the test suite uses 1e-15).
-    const double tol = std::max(
-        1e-12, o.epsilon * static_cast<double>(tpr.supersteps + cs.supersteps.size() + 1));
-    compare("pr", tpr, cs.supersteps.size(), cs.net_totals().total_messages(),
-            cs.total_time_s(), diff <= tol, diff);
-  }
-  if (isssp) {
-    algo::SsspCyclops prog;
-    prog.source = o.source;
-    core::Engine<algo::SsspCyclops> cold(
-        fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), prog, icfg.engine);
-    const auto cs = cold.run();
-    const auto a = isssp->values();
-    const auto b = cold.values();
-    double diff = a == b ? 0.0 : algo::kInfDistance;
-    compare("sssp", tsssp, cs.supersteps.size(), cs.net_totals().total_messages(),
-            cs.total_time_s(), a == b, diff);
-  }
-  if (icc) {
-    core::Engine<algo::CcCyclops> cold(
-        fin->store(), mt ? fin->mt_edge_cut() : fin->edge_cut(), algo::CcCyclops{},
-        icfg.engine);
-    const auto cs = cold.run();
-    const auto a = icc->values();
-    const auto b = cold.values();
-    compare("cc", tcc, cs.supersteps.size(), cs.net_totals().total_messages(),
-            cs.total_time_s(), a == b, a == b ? 0.0 : 1.0);
-  }
+  each_lane([&](const auto& lane) {
+    ok = lane.verdict(fin, icfg, epochs_advanced, o.epsilon) && ok;
+  });
 
   if (!o.serve.empty()) {
     for (const auto& js : svc.scheduler().all_stats()) {
