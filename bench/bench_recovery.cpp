@@ -29,8 +29,9 @@
 #include <string>
 #include <vector>
 
-#include "cyclops/graph/csr.hpp"
+#include "cyclops/common/args.hpp"
 #include "cyclops/common/table.hpp"
+#include "cyclops/graph/csr.hpp"
 #include "cyclops/runtime/recovery.hpp"
 #include "cyclops/sim/fault.hpp"
 #include "cyclops/sim/message_log.hpp"
@@ -57,7 +58,6 @@ struct Row {
 
 constexpr Superstep kCheckpointEvery = 5;
 constexpr Superstep kCrashAt = 12;
-constexpr Superstep kMaxSupersteps = 30;
 // Recovery-mode cells model the deployment log-based recovery is built for:
 // checkpoints are rare (they cost stable-storage writes every interval, so
 // operators stretch them), which makes the replay window long — here the
@@ -107,9 +107,9 @@ runtime::RecoveryOptions rollback_opts(runtime::CheckpointMode mode) {
 
 Row run_hama(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts) {
   algo::PageRankBsp prog;
-  prog.epsilon = opts.epsilon;
+  prog.epsilon = kEpsilon;
   bsp::Config cfg;
-  cfg.topo = sim::Topology{opts.machines, opts.workers / opts.machines};
+  cfg.topo = sim::Topology{kMachines, opts.workers / kMachines};
   cfg.max_supersteps = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
@@ -123,8 +123,8 @@ Row run_hama(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts
 Row run_cyclops(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts,
                 runtime::CheckpointMode mode) {
   algo::PageRankCyclops prog;
-  prog.epsilon = opts.epsilon;
-  core::Config cfg = core::Config::cyclops(opts.machines, opts.workers / opts.machines);
+  prog.epsilon = kEpsilon;
+  core::Config cfg = core::Config::cyclops(kMachines, opts.workers / kMachines);
   cfg.max_supersteps = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
@@ -135,16 +135,16 @@ Row run_cyclops(const algo::Dataset& d, const graph::Csr& g, const RunOptions& o
   });
 }
 
-Row run_powergraph(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts) {
+Row run_powergraph(const algo::Dataset& d, const graph::Csr& g) {
   algo::PageRankGas prog;
   prog.num_vertices = g.num_vertices();
-  prog.epsilon = opts.epsilon;
+  prog.epsilon = kEpsilon;
   gas::Config cfg;
-  cfg.topo = sim::Topology{opts.machines, 1};
+  cfg.topo = sim::Topology{kMachines, 1};
   cfg.max_iterations = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
-  const auto vcut = partition::RandomVertexCut{}.partition(g, opts.machines);
+  const auto vcut = partition::RandomVertexCut{}.partition(g, kMachines);
   return run_cell_recovery(
       "checkpoint", d, "PowerGraph", rollback_opts(runtime::CheckpointMode::kLightweight),
       cfg.faults.get(), [&] {
@@ -158,8 +158,8 @@ Row run_powergraph(const algo::Dataset& d, const graph::Csr& g, const RunOptions
 Row run_cyclops_mode(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts,
                      runtime::RecoveryMode recovery) {
   algo::PageRankCyclops prog;
-  prog.epsilon = opts.epsilon;
-  core::Config cfg = core::Config::cyclops(opts.machines, opts.workers / opts.machines);
+  prog.epsilon = kEpsilon;
+  core::Config cfg = core::Config::cyclops(kMachines, opts.workers / kMachines);
   cfg.max_supersteps = kMaxSupersteps;
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kModeCrashAt, kModeDetectionUs));
@@ -250,9 +250,7 @@ int main(int argc, char** argv) {
   const algo::DatasetScale scale{smoke ? 0.25 : 1.0, 2014};
   const auto datasets = {algo::make_gweb(scale), algo::make_amazon(scale),
                          algo::make_syn_gl(scale)};
-  RunOptions opts;
-  opts.machines = 6;
-  opts.workers = 48;
+  const RunOptions opts;
 
   std::vector<Row> rows;
   bool ckpt_claim = true;
@@ -267,7 +265,7 @@ int main(int argc, char** argv) {
     const Row hama = run_hama(d, g, opts);
     const Row cy_light = run_cyclops(d, g, opts, runtime::CheckpointMode::kLightweight);
     const Row cy_heavy = run_cyclops(d, g, opts, runtime::CheckpointMode::kHeavyweight);
-    const Row pg = run_powergraph(d, g, opts);
+    const Row pg = run_powergraph(d, g);
     // The §3.6 claim: a lightweight Cyclops checkpoint (masters only, replicas
     // regenerate) is strictly smaller than what BSP must persist (vertex
     // state + every pending in-queue message).

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cyclops/common/args.hpp"
 #include "cyclops/common/table.hpp"
 #include "cyclops/common/timer.hpp"
 #include "cyclops/service/service.hpp"
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
   algo::DatasetScale scale;
   scale.factor = p.get("--scale", 0.05);
   p.finish();
+  if (scale.factor <= 0) args::Parser::fail("--scale must be positive");
 
   algo::Dataset d = algo::make_gweb(scale);
   std::printf("dataset: %s\n", d.describe().c_str());

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "cyclops/common/check.hpp"
 #include "cyclops/graph/generators.hpp"
 
 namespace cyclops::algo {
@@ -18,6 +19,15 @@ unsigned scaled_scale(unsigned base_scale, double factor) {
 
 std::size_t scaled(std::size_t base, double factor) {
   return std::max<std::size_t>(16, static_cast<std::size_t>(static_cast<double>(base) * factor));
+}
+
+/// The generators size graphs by casting factor-scaled doubles to integers,
+/// so a non-finite or non-positive factor is undefined behaviour there.
+/// User input is validated before it gets here (the CLI and bench_paper
+/// reject such a --scale with exit 2).
+double factor_of(const DatasetScale& s) {
+  CYCLOPS_CHECK(std::isfinite(s.factor) && s.factor > 0);
+  return s.factor;
 }
 }  // namespace
 
@@ -48,7 +58,7 @@ Dataset make_amazon(const DatasetScale& s) {
   d.name = "Amazon";
   d.paper_vertices = 403394;
   d.paper_edges = 3387388;
-  d.edges = make_web(13, 75000, 0.80, s.seed + 1, s.factor);  // product co-purchase: high locality
+  d.edges = make_web(13, 75000, 0.80, s.seed + 1, factor_of(s));  // product co-purchase: high locality
   return d;
 }
 
@@ -57,7 +67,7 @@ Dataset make_gweb(const DatasetScale& s) {
   d.name = "GWeb";
   d.paper_vertices = 875713;
   d.paper_edges = 5105039;
-  d.edges = make_web(14, 110000, 0.75, s.seed + 2, s.factor);  // web: host-level locality
+  d.edges = make_web(14, 110000, 0.75, s.seed + 2, factor_of(s));  // web: host-level locality
   return d;
 }
 
@@ -66,7 +76,7 @@ Dataset make_ljournal(const DatasetScale& s) {
   d.name = "LJournal";
   d.paper_vertices = 4847571;
   d.paper_edges = 69993773;
-  d.edges = make_web(15, 330000, 0.65, s.seed + 3, s.factor);  // social: weaker locality
+  d.edges = make_web(15, 330000, 0.65, s.seed + 3, factor_of(s));  // social: weaker locality
   return d;
 }
 
@@ -75,7 +85,7 @@ Dataset make_wiki(const DatasetScale& s) {
   d.name = "Wiki";
   d.paper_vertices = 5716808;
   d.paper_edges = 130160392;
-  d.edges = make_web(16, 760000, 0.65, s.seed + 4, s.factor);
+  d.edges = make_web(16, 760000, 0.65, s.seed + 4, factor_of(s));
   return d;
 }
 
@@ -86,8 +96,8 @@ Dataset make_syn_gl(const DatasetScale& s) {
   d.paper_vertices = 110000;
   d.paper_edges = 2729572;
   graph::gen::BipartiteSpec spec;
-  spec.users = static_cast<VertexId>(scaled(2400, s.factor));
-  spec.items = static_cast<VertexId>(scaled(800, s.factor));
+  spec.users = static_cast<VertexId>(scaled(2400, factor_of(s)));
+  spec.items = static_cast<VertexId>(scaled(800, factor_of(s)));
   spec.ratings_per_user = 12;
   d.edges = graph::gen::bipartite_ratings(spec, s.seed + 5);
   d.num_users = spec.users;
@@ -101,7 +111,7 @@ Dataset make_dblp(const DatasetScale& s) {
   d.paper_vertices = 317080;
   d.paper_edges = 1049866;
   graph::gen::CommunitySpec spec;
-  spec.communities = static_cast<VertexId>(scaled(250, s.factor));
+  spec.communities = static_cast<VertexId>(scaled(250, factor_of(s)));
   spec.group_size = 40;
   spec.degree = 7;
   spec.p_internal = 0.85;
@@ -117,7 +127,7 @@ Dataset make_road_ca(const DatasetScale& s) {
   d.paper_edges = 5533214;
   graph::gen::RoadSpec spec;
   const auto side = static_cast<VertexId>(
-      std::max(24.0, 130.0 * std::sqrt(std::max(s.factor, 0.01))));
+      std::max(24.0, 130.0 * std::sqrt(std::max(factor_of(s), 0.01))));
   spec.rows = side;
   spec.cols = side;
   d.edges = graph::gen::road_grid(spec, s.seed + 7);

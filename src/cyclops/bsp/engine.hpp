@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <limits>
 #include <span>
 #include <unordered_map>
@@ -161,12 +160,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
 
   [[nodiscard]] std::span<const Value> values() const noexcept { return values_; }
 
-  /// Per-superstep observer: (stats, values). Used for L1 tracking.
-  void set_observer(
-      std::function<void(const metrics::SuperstepStats&, std::span<const Value>)> fn) {
-    observer_ = std::move(fn);
-  }
-
   /// Memory behaviour for Table 2: resident graph state plus transient
   /// message churn (message_churn_bytes is the GC-pressure analog). Hama has
   /// no replicas, but each message is materialized once on the wire, once in
@@ -237,10 +230,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         vcheck_.register_worker(w, static_cast<std::uint32_t>(n), ids, owners);
       }
     }
-  }
-
-  void notify(const metrics::SuperstepStats& step) {
-    if (observer_) observer_(step, std::span<const Value>(values_));
   }
 
   /// One machine's frame: engine header + superstep + aggregator + the
@@ -508,7 +497,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   DenseBitset has_last_payload_;
 
   double global_error_ = std::numeric_limits<double>::infinity();
-  std::function<void(const metrics::SuperstepStats&, std::span<const Value>)> observer_;
 };
 
 }  // namespace cyclops::bsp

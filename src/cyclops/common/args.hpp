@@ -4,6 +4,7 @@
 // finish() rejects anything left over, so callers get unknown-flag errors
 // without maintaining a central flag table.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +51,8 @@ class Parser {
   }
 
   /// Typed `name VALUE` with a default. Supports std::string and arithmetic
-  /// types; numeric parses must consume the whole token.
+  /// types; numeric parses must consume the whole token, and floating-point
+  /// values must be finite (no nan, no inf).
   template <typename T>
   T get(std::string_view name, T dflt) {
     const auto v = value(name);
@@ -98,9 +100,9 @@ class Parser {
       } else {
         out = static_cast<T>(std::strtoull(raw.c_str(), &end, 10));
       }
-      if (end == raw.c_str() || *end != '\0') {
-        fail("invalid value '" + raw + "' for " + std::string(name));
-      }
+      bool ok = end != raw.c_str() && *end == '\0';
+      if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+      if (!ok) fail("invalid value '" + raw + "' for " + std::string(name));
       return out;
     }
   }

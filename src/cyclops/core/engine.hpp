@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -214,10 +213,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
 
   [[nodiscard]] const Layout& layout() const noexcept { return layout_; }
 
-  void set_observer(std::function<void(const metrics::SuperstepStats&, const Engine&)> fn) {
-    observer_ = std::move(fn);
-  }
-
   /// Raises the superstep cap so run() can be called again to continue an
   /// already-finished computation (e.g. after a topology mutation).
   void extend_max_supersteps(Superstep additional) {
@@ -352,10 +347,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     Message payload;
   };
   using Channel = runtime::SyncChannel<WireRecord>;
-
-  void notify(const metrics::SuperstepStats& step) {
-    if (observer_) observer_(step, *this);
-  }
 
   /// rebuild()'s body: swaps in the new graph and layout, carrying master
   /// state across by vertex id.
@@ -681,8 +672,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   std::vector<DenseBitset> next_active_;
   std::vector<DenseBitset> dirty_;
   std::vector<DenseBitset> converged_;
-
-  std::function<void(const metrics::SuperstepStats&, const Engine&)> observer_;
 };
 
 }  // namespace cyclops::core

@@ -18,7 +18,6 @@
 //     bool scatter_activates(const Value& old, const Value& next) const;
 //   };
 
-#include <functional>
 #include <vector>
 
 #include "cyclops/common/bitset.hpp"
@@ -78,11 +77,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     });
   }
 
-  /// Per-iteration observer, same contract as the other engines.
-  void set_observer(std::function<void(const metrics::SuperstepStats&)> fn) {
-    observer_ = std::move(fn);
-  }
-
   /// Memory behaviour in Table 2 terms: every mirror copy is replicated
   /// vertex state; churn is the bidirectional master<->mirror traffic.
   [[nodiscard]] metrics::MemoryReport memory_report() const noexcept {
@@ -133,10 +127,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   }
 
  private:
-  void notify(const metrics::SuperstepStats& step) {
-    if (observer_) observer_(step);
-  }
-
   /// One machine's frame: the copies hosted on its workers — masters only in
   /// lightweight mode, every copy in heavyweight — plus master activity.
   void checkpoint_machine(MachineId m, ByteWriter& out,
@@ -483,7 +473,6 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   std::vector<DenseBitset> activated_copies_;
   std::vector<DenseBitset> next_active_masters_;
 
-  std::function<void(const metrics::SuperstepStats&)> observer_;
 };
 
 }  // namespace cyclops::gas

@@ -17,9 +17,10 @@ struct MemoryReport {
   std::uint64_t message_alloc_count = 0;  ///< total message objects created
 
   // Store-backend split (GraphStore::memory()): what the graph keeps in RAM
-  // vs. on disk, so bench_table2_memory rows compare fairly across the
-  // memory/compact/stream backends. store_resident_bytes is already included
-  // in vertex_state_bytes; the disk side is reported separately.
+  // vs. on disk, so Table 2b's rows (bench_paper --figure T2) compare fairly
+  // across the memory/compact/stream backends. store_resident_bytes is
+  // already included in vertex_state_bytes; the disk side is reported
+  // separately.
   std::uint64_t store_resident_bytes = 0;  ///< graph bytes that must stay in RAM
   std::uint64_t store_on_disk_bytes = 0;   ///< graph bytes paged/streamed from disk
   std::uint64_t message_spill_bytes = 0;   ///< buffered bytes above the store budget

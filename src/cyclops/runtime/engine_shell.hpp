@@ -10,7 +10,6 @@
 //
 // An engine derives from EngineShell<Engine, Config> (CRTP) and keeps only:
 //   * its phase logic:     bool run_superstep(metrics::SuperstepStats&);
-//                          void notify(const metrics::SuperstepStats&);
 //                          run_superstep charges each executor's modeled work
 //                          to ledger_; run() turns the charges into phases.
 //   * its frame codec:     void checkpoint_machine(MachineId, ByteWriter&,
@@ -29,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -88,10 +88,18 @@ class EngineShell {
           step.phases = ledger_.phases();
           return done;
         },
-        [this](const metrics::SuperstepStats& step) { derived().notify(step); });
+        [this](const metrics::SuperstepStats& step) {
+          if (observer_) observer_(step, derived());
+        });
     stats.ingress_s = ingress_s_;
     return stats;
   }
+
+  /// Per-superstep observer: called after each superstep's stats are folded
+  /// into the run, with the engine itself, so it can read values() or any
+  /// other engine state (convergence tracking, RMSE, replica checks).
+  using Observer = std::function<void(const metrics::SuperstepStats&, const Derived&)>;
+  void set_observer(Observer fn) { observer_ = std::move(fn); }
 
   [[nodiscard]] const sim::Fabric& fabric() const noexcept { return fabric_; }
   [[nodiscard]] Superstep superstep() const noexcept { return driver_.superstep(); }
@@ -248,6 +256,7 @@ class EngineShell {
   }
 
   double ingress_s_ = 0;
+  Observer observer_;
 };
 
 }  // namespace cyclops::runtime

@@ -341,7 +341,7 @@ TEST(BspEngine, ObserverSeesEverySuperstep) {
   cfg.max_supersteps = 9;
   Engine<algo::PageRankBsp> engine(g, test::hash_partition(g, 2), pr, cfg);
   std::vector<Superstep> observed;
-  engine.set_observer([&](const metrics::SuperstepStats& s, std::span<const double>) {
+  engine.set_observer([&](const metrics::SuperstepStats& s, const Engine<algo::PageRankBsp>&) {
     observed.push_back(s.superstep);
   });
   const auto stats = engine.run();

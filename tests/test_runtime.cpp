@@ -228,6 +228,51 @@ TEST(EngineEquivalence, PageRankAgreesAcrossAllThreeEngines) {
   EXPECT_LT(bsp_vs_gas, 1e-8);
 }
 
+// The shell owns the observer: every engine calls it once per superstep, in
+// order, with the engine itself, so one generic observer reads values() from
+// any of them.
+template <typename Engine>
+void expect_observer_sees_every_superstep(Engine& engine,
+                                          const std::vector<double>& reference) {
+  std::vector<Superstep> seen;
+  std::vector<double> last;
+  engine.set_observer([&](const metrics::SuperstepStats& s, const auto& e) {
+    EXPECT_EQ(&e, &engine);
+    seen.push_back(s.superstep);
+    const auto values = e.values();
+    last.assign(values.begin(), values.end());
+  });
+  const auto stats = engine.run();
+  ASSERT_EQ(seen.size(), stats.supersteps.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], static_cast<Superstep>(i));
+  EXPECT_EQ(last, reference);  // the last observation is the converged state
+}
+
+TEST(EngineShell, ObserverSeesEverySuperstepOnAllThreeEngines) {
+  graph::gen::RoadSpec spec;
+  spec.rows = 12;
+  spec.cols = 12;
+  const graph::Csr g = graph::Csr::build(graph::gen::road_grid(spec, 5));
+  const std::vector<double> reference = algo::sssp_reference(g, 0);
+  const auto part = test::hash_partition(g, 3);
+
+  bsp::Config bsp_cfg = bsp::Config::workers(3);
+  bsp_cfg.max_supersteps = 500;
+  bsp::Engine<algo::SsspBsp> bsp_engine(g, part, algo::SsspBsp{}, bsp_cfg);
+  expect_observer_sees_every_superstep(bsp_engine, reference);
+
+  core::Config cyc_cfg = core::Config::cyclops(3, 1);
+  cyc_cfg.max_supersteps = 500;
+  core::Engine<algo::SsspCyclops> cyc_engine(g, part, algo::SsspCyclops{}, cyc_cfg);
+  expect_observer_sees_every_superstep(cyc_engine, reference);
+
+  gas::Config gas_cfg = gas::Config::workers(3);
+  gas_cfg.max_iterations = 500;
+  gas::Engine<algo::SsspGas> gas_engine(g, partition::RandomVertexCut{}.partition(g, 3),
+                                        algo::SsspGas{}, gas_cfg);
+  expect_observer_sees_every_superstep(gas_engine, reference);
+}
+
 TEST(EngineEquivalence, SsspAgreesBetweenBspAndCyclops) {
   graph::gen::RoadSpec spec;
   spec.rows = 20;

@@ -316,6 +316,7 @@ Options parse(int argc, char** argv) {
   o.fault_seed = p.get("--fault-seed", o.fault_seed);
   o.rec = args::recovery_args(p);
   p.finish();
+  if (o.scale <= 0) args::Parser::fail("--scale must be positive");
   if (o.workers == 0 || o.machines == 0 || o.workers % o.machines != 0) {
     std::fprintf(stderr, "--workers must be a positive multiple of --machines\n");
     std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded startup
