@@ -82,9 +82,8 @@ sim::FaultPlan crash_plan(Superstep crash_at, double detection_us) {
 template <typename MakeEngine>
 Row run_cell_recovery(const char* section, const algo::Dataset& d,
                       const char* engine_label, const runtime::RecoveryOptions& opts,
-                      sim::FaultInjector* faults, MakeEngine&& make_engine) {
-  auto outcome = runtime::run_with_recovery(std::forward<MakeEngine>(make_engine),
-                                            opts, faults);
+                      MakeEngine&& make_engine) {
+  auto outcome = runtime::run_with_recovery(std::forward<MakeEngine>(make_engine), opts);
   Row row;
   row.section = section;
   row.dataset = d.name;
@@ -116,7 +115,6 @@ Row run_hama(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts
   const auto part = make_edge_cut(g, opts, opts.workers);
   return run_cell_recovery(
       "checkpoint", d, "Hama", rollback_opts(runtime::CheckpointMode::kHeavyweight),
-      cfg.faults.get(),
       [&] { return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, prog, cfg); });
 }
 
@@ -129,8 +127,7 @@ Row run_cyclops(const algo::Dataset& d, const graph::Csr& g, const RunOptions& o
   cfg.faults = std::make_shared<sim::FaultInjector>(
       crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
   const auto part = make_edge_cut(g, opts, cfg.topo.total_workers());
-  return run_cell_recovery("checkpoint", d, "Cyclops", rollback_opts(mode),
-                           cfg.faults.get(), [&] {
+  return run_cell_recovery("checkpoint", d, "Cyclops", rollback_opts(mode), [&] {
     return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, prog, cfg);
   });
 }
@@ -147,7 +144,7 @@ Row run_powergraph(const algo::Dataset& d, const graph::Csr& g) {
   const auto vcut = partition::RandomVertexCut{}.partition(g, kMachines);
   return run_cell_recovery(
       "checkpoint", d, "PowerGraph", rollback_opts(runtime::CheckpointMode::kLightweight),
-      cfg.faults.get(), [&] {
+      [&] {
         return std::make_unique<gas::Engine<algo::PageRankGas>>(g, vcut, prog, cfg);
       });
 }
@@ -170,10 +167,9 @@ Row run_cyclops_mode(const algo::Dataset& d, const graph::Csr& g, const RunOptio
   ropts.recovery = recovery;
   if (recovery != runtime::RecoveryMode::kRollback) {
     cfg.message_log = std::make_shared<sim::MessageLog>();
-    ropts.log = cfg.message_log.get();
   }
   const auto part = make_edge_cut(g, opts, cfg.topo.total_workers());
-  return run_cell_recovery("recovery", d, "Cyclops", ropts, cfg.faults.get(), [&] {
+  return run_cell_recovery("recovery", d, "Cyclops", ropts, [&] {
     return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, prog, cfg);
   });
 }

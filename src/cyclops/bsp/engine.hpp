@@ -262,7 +262,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   void restore_machine(MachineId m, ByteReader& in) {
     (void)runtime::read_engine_header(in, runtime::EngineTag::kBsp,
                                       graph_->num_vertices(), graph_->num_edges());
-    this->driver_.set_superstep(in.read<Superstep>());
+    this->set_superstep(in.read<Superstep>());
     global_error_ = in.read<double>();
     const auto vals = in.read_vector<Value>();
     const auto flags = in.read_vector<std::uint8_t>();

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cyclops/common/bitset.hpp"
@@ -256,16 +257,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   /// Externally re-activates a vertex (by global id) for the next superstep
   /// executed — used after topology mutation so affected vertices recompute.
   void activate(VertexId v) {
-    CYCLOPS_CHECK(v < graph_->num_vertices());
-    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
-      const auto& masters = layout_.workers[w].masters;
-      const auto it = std::lower_bound(masters.begin(), masters.end(), v);
-      if (it != masters.end() && *it == v) {
-        cur_active_[w].set(static_cast<std::size_t>(it - masters.begin()));
-        return;
-      }
-    }
-    CYCLOPS_CHECK(false);  // vertex must be mastered somewhere
+    const auto [w, i] = master_slot(v);
+    cur_active_[w].set(i);
   }
 
   /// Pre-run state override for incremental re-convergence (ingest layer):
@@ -274,41 +267,26 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   /// immediately — so the very first CMP phase after this call already reads
   /// the overridden view. Legal only between run() calls (phase kIdle).
   void reset_vertex(VertexId v, const Value& value, const Message& shared) {
-    CYCLOPS_CHECK(v < graph_->num_vertices());
-    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
-      const auto& masters = layout_.workers[w].masters;
-      const auto it = std::lower_bound(masters.begin(), masters.end(), v);
-      if (it == masters.end() || *it != v) continue;
-      const auto i = static_cast<std::uint32_t>(it - masters.begin());
-      vcheck_.on_master_write(w, w, i, CYCLOPS_VLOC);
-      values_[w][i] = value;
-      shared_data_[w][i] = shared;
-      converged_[w].clear(i);
-      cur_active_[w].set(i);
-      const WorkerLayout& wl = layout_.workers[w];
-      for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
-        const ReplicaRef ref = wl.rep_targets[r];
-        vcheck_.on_replica_write(ref.worker, ref.worker, ref.slot, CYCLOPS_VLOC);
-        shared_data_[ref.worker][ref.slot] = shared;
-      }
-      return;
+    const auto [w, i] = master_slot(v);
+    vcheck_.on_master_write(w, w, i, CYCLOPS_VLOC);
+    values_[w][i] = value;
+    shared_data_[w][i] = shared;
+    converged_[w].clear(i);
+    cur_active_[w].set(i);
+    const WorkerLayout& wl = layout_.workers[w];
+    for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
+      const ReplicaRef ref = wl.rep_targets[r];
+      vcheck_.on_replica_write(ref.worker, ref.worker, ref.slot, CYCLOPS_VLOC);
+      shared_data_[ref.worker][ref.slot] = shared;
     }
-    CYCLOPS_CHECK(false);  // vertex must be mastered somewhere
   }
 
   /// Master value of one vertex (by global id) — the point lookup the
   /// incremental layer uses to compute affected regions without gathering
   /// the full values() vector.
   [[nodiscard]] const Value& value_at(VertexId v) const {
-    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
-      const auto& masters = layout_.workers[w].masters;
-      const auto it = std::lower_bound(masters.begin(), masters.end(), v);
-      if (it != masters.end() && *it == v) {
-        return values_[w][static_cast<std::size_t>(it - masters.begin())];
-      }
-    }
-    CYCLOPS_CHECK(false);  // vertex must be mastered somewhere
-    return values_[0][0];
+    const auto [w, i] = master_slot(v);
+    return values_[w][i];
   }
 
   /// Topology mutation (§8 future work; see core/mutation.hpp): re-targets
@@ -397,6 +375,21 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     resync_replicas();
   }
 
+  /// Vertex v's master (by global id): its worker and slot. Each worker's
+  /// masters are sorted, and every vertex is mastered on exactly one worker.
+  [[nodiscard]] std::pair<WorkerId, std::uint32_t> master_slot(VertexId v) const {
+    CYCLOPS_CHECK(v < graph_->num_vertices());
+    for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
+      const auto& masters = layout_.workers[w].masters;
+      const auto it = std::lower_bound(masters.begin(), masters.end(), v);
+      if (it != masters.end() && *it == v) {
+        return {w, static_cast<std::uint32_t>(it - masters.begin())};
+      }
+    }
+    CYCLOPS_CHECK(false);  // vertex must be mastered somewhere
+    return {};
+  }
+
   /// One machine's self-describing checkpoint frame: engine header +
   /// superstep + that machine's workers' state. Lightweight saves master
   /// values and master shared data; heavyweight additionally persists every
@@ -431,7 +424,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   void restore_machine(MachineId m, ByteReader& in) {
     const runtime::CheckpointMode mode = runtime::read_engine_header(
         in, runtime::EngineTag::kCyclops, graph_->num_vertices(), graph_->num_edges());
-    this->driver_.set_superstep(in.read<Superstep>());
+    this->set_superstep(in.read<Superstep>());
     const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const WorkerLayout& wl = layout_.workers[w];

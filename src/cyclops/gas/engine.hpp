@@ -159,7 +159,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   void restore_machine(MachineId m, ByteReader& in) {
     const runtime::CheckpointMode mode = runtime::read_engine_header(
         in, runtime::EngineTag::kGas, graph_->num_vertices(), graph_->num_edges());
-    this->driver_.set_superstep(in.read<Superstep>());
+    this->set_superstep(in.read<Superstep>());
     const auto [begin, end] = this->machine_workers(m);
     for (WorkerId w = begin; w < end; ++w) {
       const GasWorkerLayout& wl = layout_.workers[w];

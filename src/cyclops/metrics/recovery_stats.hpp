@@ -2,7 +2,7 @@
 // Whole-run fault-tolerance accounting, surfaced next to RunStats by the
 // recovery runtime (runtime::run_with_recovery) and reported by
 // metrics::recovery_summary(). Checkpoint-side fields come from the
-// CheckpointManager; fault/rollback fields from the RecoveryCoordinator loop.
+// CheckpointManager; fault/rollback fields from run_with_recovery's loop.
 
 #include <cstdint>
 

@@ -4,6 +4,9 @@
 
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/stats.hpp"
+#include "cyclops/partition/hash.hpp"
+#include "cyclops/partition/ldg.hpp"
+#include "cyclops/partition/multilevel.hpp"
 
 namespace cyclops::partition {
 
@@ -11,6 +14,13 @@ EdgeCutPartition::EdgeCutPartition(std::vector<WorkerId> owner, WorkerId num_par
     : owner_(std::move(owner)), num_parts_(num_parts) {
   CYCLOPS_CHECK(num_parts_ > 0);
   for (WorkerId w : owner_) CYCLOPS_CHECK(w < num_parts_);
+}
+
+std::unique_ptr<EdgeCutPartitioner> make_edge_cut_partitioner(std::string_view name) {
+  if (name == "hash") return std::make_unique<HashPartitioner>();
+  if (name == "ldg") return std::make_unique<LdgPartitioner>();
+  if (name == "multilevel") return std::make_unique<MultilevelPartitioner>();
+  return nullptr;
 }
 
 EdgeCutQuality evaluate(const graph::GraphStore& g, const EdgeCutPartition& p) {

@@ -4,6 +4,8 @@
 // Quality metrics here drive Figure 11 (replication factor) directly.
 
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "cyclops/common/types.hpp"
@@ -52,5 +54,13 @@ class EdgeCutPartitioner {
                                                    WorkerId num_parts) const = 0;
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
+
+/// The edge-cut partitioners a run or a service snapshot can name.
+inline constexpr std::string_view kEdgeCutPartitioners = "hash, ldg, multilevel";
+
+/// The partitioner called `name` (multilevel with its default config), or
+/// null when no partitioner has that name.
+[[nodiscard]] std::unique_ptr<EdgeCutPartitioner> make_edge_cut_partitioner(
+    std::string_view name);
 
 }  // namespace cyclops::partition

@@ -1,9 +1,9 @@
 #pragma once
 // Periodic checkpointing for the engine runtime layer (§3.6 made automatic).
-// A CheckpointManager hangs off the SuperstepDriver: every N completed
-// supersteps it asks the engine to serialize itself, seals the snapshot in a
-// CRC-framed envelope, and hands it to a CheckpointStore (in-memory for
-// simulated clusters, file-backed for durability tests). Restore goes the
+// A CheckpointManager hangs off the engine shell's run loop: every N completed
+// supersteps the shell serializes the engine, and the manager seals the
+// snapshot in a CRC-framed envelope and hands it to a CheckpointStore
+// (in-memory for simulated clusters, file-backed for durability tests). Restore goes the
 // other way: open the latest frame (integrity-checked — a truncated or
 // bit-flipped snapshot throws SerializeError, it never aborts), then feed the
 // payload to the engine's restore().
@@ -239,8 +239,8 @@ class MemoryCheckpointStore final : public CheckpointStore {
   std::vector<std::uint8_t> sealed_;
 };
 
-/// One file per checkpoint under `dir`, newest replacing oldest. Used by the
-/// durability tests and by the CLI when a checkpoint directory is given.
+/// One file per checkpoint under `dir`, newest replacing oldest: the
+/// durable store, which the durability tests exercise.
 class FileCheckpointStore final : public CheckpointStore {
  public:
   explicit FileCheckpointStore(std::string dir) : dir_(std::move(dir)) {}
@@ -294,7 +294,7 @@ struct CheckpointCostModel {
   }
 };
 
-/// Policy + bookkeeping for periodic checkpoints. The SuperstepDriver calls
+/// Policy + bookkeeping for periodic checkpoints. The shell's run loop calls
 /// due()/commit() at superstep boundaries; run_with_recovery calls
 /// load_latest() after a fault.
 class CheckpointManager {

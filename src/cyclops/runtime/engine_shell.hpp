@@ -2,11 +2,15 @@
 // The engine shell: everything around a superstep that the three execution
 // models (BSP/Hama, Cyclops immutable view, PowerGraph GAS) share, written
 // once. The paper's engines differ only in what happens *inside* a superstep;
-// the host pool, the simulated fabric, the superstep driver, the exchange
-// accounting, the modeled phase clock (PhaseLedger), the invariant checker,
-// and the lifecycle wiring between them — fault injection, message logging,
-// schedule exploration, spill budget, periodic checkpoints, localized-recovery
-// replay — are the same machinery.
+// the superstep loop itself, the host pool, the simulated fabric, the
+// exchange accounting, the modeled phase clock (PhaseLedger), the invariant
+// checker, and the lifecycle wiring between them — fault injection, message
+// logging, schedule exploration, spill budget, periodic checkpoints,
+// localized-recovery replay — are the same machinery.
+//
+// The shell owns the superstep counter, so checkpoint/restore and continued
+// runs (extend_max_supersteps, topology mutation) observe one authoritative
+// position in the computation.
 //
 // An engine derives from EngineShell<Engine, Config> (CRTP) and keeps only:
 //   * its phase logic:     bool run_superstep(metrics::SuperstepStats&);
@@ -41,7 +45,6 @@
 #include "cyclops/runtime/checkpoint.hpp"
 #include "cyclops/runtime/exchange_accounting.hpp"
 #include "cyclops/runtime/phase_ledger.hpp"
-#include "cyclops/runtime/superstep_driver.hpp"
 #include "cyclops/sim/cost_model.hpp"
 #include "cyclops/sim/fabric.hpp"
 #include "cyclops/sim/fault.hpp"
@@ -80,17 +83,32 @@ class EngineShell {
   /// superstep cap, which is re-read every call so runs can be continued.
   /// Each superstep's phase times are read off the ledger it charged.
   metrics::RunStats run() {
-    metrics::RunStats stats = driver_.run(
-        superstep_cap(), acct_,
-        [this](metrics::SuperstepStats& step) {
-          ledger_.clear();
-          const bool done = derived().run_superstep(step);
-          step.phases = ledger_.phases();
-          return done;
-        },
-        [this](const metrics::SuperstepStats& step) {
-          if (observer_) observer_(step, derived());
-        });
+    metrics::RunStats stats;
+    const Superstep cap = superstep_cap();
+    for (bool done = false; !done;) {
+      // The fault clock and the invariant checker both key on the
+      // authoritative superstep counter.
+      if (config_.faults) config_.faults->begin_superstep(superstep_);
+      vcheck_.begin_superstep(superstep_);
+      metrics::SuperstepStats step;
+      step.superstep = superstep_;
+      ledger_.clear();
+      done = derived().run_superstep(step);
+      step.phases = ledger_.phases();
+      stats.supersteps.push_back(std::move(step));
+      stats.peak_buffered_bytes =
+          std::max(stats.peak_buffered_bytes, acct_.peak_buffered_bytes());
+      if (observer_) observer_(stats.supersteps.back(), derived());
+      ++superstep_;
+      if (superstep_ >= cap) done = true;
+      // Periodic checkpoint, taken at the quiescent point just after the
+      // barrier — every engine's state is at a superstep boundary here.
+      if (!done && checkpoints_ != nullptr && checkpoints_->due(superstep_)) {
+        ByteWriter snapshot;
+        checkpoint(snapshot, checkpoints_->mode());
+        checkpoints_->commit(superstep_, snapshot.take());
+      }
+    }
     stats.ingress_s = ingress_s_;
     return stats;
   }
@@ -102,7 +120,7 @@ class EngineShell {
   void set_observer(Observer fn) { observer_ = std::move(fn); }
 
   [[nodiscard]] const sim::Fabric& fabric() const noexcept { return fabric_; }
-  [[nodiscard]] Superstep superstep() const noexcept { return driver_.superstep(); }
+  [[nodiscard]] Superstep superstep() const noexcept { return superstep_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// The engine's invariant checker (a no-op object unless built with
@@ -143,37 +161,31 @@ class EngineShell {
     vcheck_.note_replay_window(resume_at, until);
   }
 
-  /// Arms periodic checkpointing: the driver snapshots this engine through
+  /// Arms periodic checkpointing: run() snapshots this engine through
   /// `manager` every interval supersteps. Not owned; nullptr detaches.
-  void set_checkpoint_manager(CheckpointManager* manager) {
-    if (manager == nullptr) {
-      driver_.set_checkpointer(nullptr, {});
-      return;
-    }
-    driver_.set_checkpointer(
-        manager, [this, manager](ByteWriter& out) { checkpoint(out, manager->mode()); });
+  void set_checkpoint_manager(CheckpointManager* manager) noexcept {
+    checkpoints_ = manager;
   }
 
  protected:
-  /// Wires the shared machinery from `config`: fault clock and fabric faults,
-  /// message log, pool schedule, checker, and the store's message budget
-  /// (0 = unbounded). `lanes` is the fabric's sender lanes per worker;
-  /// `executors` the ledger's simulated executors per worker.
+  /// Wires the shared machinery from `config`: fabric faults, message log,
+  /// pool schedule, and the store's message budget (0 = unbounded). `lanes`
+  /// is the fabric's sender lanes per worker; `executors` the ledger's
+  /// simulated executors per worker.
   EngineShell(Config config, std::uint64_t message_budget_bytes, std::size_t lanes = 1,
               std::size_t executors = 1)
       : config_(std::move(config)),
         pool_(config_.pool_threads),
         fabric_(config_.topo, Derived::kCost, lanes),
         ledger_(config_.topo.total_workers() * executors) {
-    if (config_.faults) {
-      fabric_.install_faults(config_.faults.get());
-      driver_.set_fault_injector(config_.faults.get());
-    }
+    if (config_.faults) fabric_.install_faults(config_.faults.get());
     if (config_.message_log) fabric_.install_log(config_.message_log.get());
     if (config_.schedule) pool_.set_task_order(config_.schedule.get());
-    driver_.set_checker(&vcheck_);
     arm_store_budget(message_budget_bytes);
   }
+
+  /// Repositions the computation; engines call it from restore_machine.
+  void set_superstep(Superstep s) noexcept { superstep_ = s; }
 
   /// Counts exchange buffering above the store's budget as spill bytes;
   /// a zero budget (fully in-memory store) leaves the accounting unbounded.
@@ -234,7 +246,6 @@ class EngineShell {
   Config config_;
   ThreadPool pool_;
   sim::Fabric fabric_;
-  SuperstepDriver driver_;
   ExchangeAccounting acct_;
   PhaseLedger ledger_;
   verify::EngineChecker vcheck_;
@@ -255,6 +266,8 @@ class EngineShell {
     }
   }
 
+  Superstep superstep_ = 0;
+  CheckpointManager* checkpoints_ = nullptr;
   double ingress_s_ = 0;
   Observer observer_;
 };

@@ -1,11 +1,12 @@
 #pragma once
-// Automated crash recovery on top of the SuperstepDriver, in three modes.
-// run_with_recovery() owns the whole fault lifecycle:
+// Automated crash recovery around the engine shell's run loop, in three
+// modes. run_with_recovery() owns the whole fault lifecycle:
 //
-//   1. build an engine (caller's factory — it wires the shared FaultInjector
-//      and, for log-based modes, the shared MessageLog into the engine's
-//      fabric via its Config);
-//   2. attach a CheckpointManager so the driver checkpoints every N
+//   1. build an engine (caller's factory). The engine's Config carries the
+//      shared FaultInjector and, for log-based modes, the shared MessageLog;
+//      the coordinator reads both from the engine it builds and checks that
+//      every later incarnation shares the same two objects;
+//   2. attach a CheckpointManager so the shell checkpoints every N
 //      superstep boundaries (per-machine framesets, see checkpoint.hpp);
 //   3. run. If the fabric throws FaultError (machine crash at a barrier),
 //      the incarnation is dead: discard it, build a replacement, restore the
@@ -27,11 +28,11 @@
 //     failed machine's checkpoint frame read + the failed machine's compute
 //     share of the window + the logged re-feed wire time.
 //   * kLogParallel — re-partitioned parallel replay. The dead machine's
-//     partition is split across the K survivors, each replaying a slice
-//     concurrently, then merged back. Charged like kLog with the compute
-//     share and the log re-feed each divided by K (slices replay — and are
-//     re-fed — over K distinct links at once), plus the scatter/merge
-//     transfer of the dead machine's frame.
+//     partition is split across all K = machines - 1 survivors, each
+//     replaying a slice concurrently, then merged back. Charged like kLog
+//     with the compute share and the log re-feed each divided by K (slices
+//     replay — and are re-fed — over K distinct links at once), plus the
+//     scatter/merge transfer of the dead machine's frame.
 //
 // The simulated cluster executes the replay window deterministically in all
 // three modes (one process holds every machine; determinism is what makes
@@ -55,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "cyclops/common/check.hpp"
 #include "cyclops/common/serialize.hpp"
 #include "cyclops/metrics/recovery_stats.hpp"
 #include "cyclops/metrics/superstep_stats.hpp"
@@ -85,20 +87,14 @@ enum class RecoveryMode : std::uint8_t { kRollback = 0, kLog = 1, kLogParallel =
   return true;
 }
 
+/// The fault injector and the message log come from the engines themselves
+/// (EngineConfig::faults / message_log); a log-based mode without a log in
+/// the engine's Config degrades to rollback accounting.
 struct RecoveryOptions {
   Superstep checkpoint_every = 0;  ///< 0 = no periodic checkpoints
   CheckpointMode mode = CheckpointMode::kLightweight;
   RecoveryMode recovery = RecoveryMode::kRollback;
   std::size_t max_recoveries = 8;  ///< give up (rethrow) after this many crashes
-
-  /// The shared message log for kLog / kLogParallel. Must be the same object
-  /// the caller's engine factory installs into the fabric (via Config);
-  /// nullptr degrades log-based modes to rollback accounting.
-  sim::MessageLog* log = nullptr;
-
-  /// kLogParallel: number of survivors sharing the replay. 0 = all of them
-  /// (machines - 1).
-  std::size_t recovery_parallelism = 0;
 };
 
 template <typename Engine>
@@ -109,12 +105,11 @@ struct RecoveryOutcome {
 };
 
 /// Runs `make_engine()`'s product to completion, recovering automatically
-/// from injected machine crashes. `faults` is the injector shared with the
-/// engines' fabrics (nullptr when only checkpointing is wanted); `store`
+/// from injected machine crashes. Every engine the factory builds must share
+/// the first one's Config::faults and Config::message_log (checked); `store`
 /// overrides the default in-memory checkpoint store.
 template <typename MakeEngine>
 auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
-                       sim::FaultInjector* faults = nullptr,
                        CheckpointStore* store = nullptr) {
   using EnginePtr = std::invoke_result_t<MakeEngine&>;
   using Engine = typename EnginePtr::element_type;
@@ -123,14 +118,19 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
   CheckpointManager manager(opts.checkpoint_every, opts.mode,
                             store != nullptr ? store : &default_store);
 
-  const bool localized =
-      opts.recovery != RecoveryMode::kRollback && opts.log != nullptr;
+  EnginePtr engine = make_engine();
+  engine->set_checkpoint_manager(&manager);
+  sim::FaultInjector* const faults = engine->config().faults.get();
+  sim::MessageLog* const log = engine->config().message_log.get();
+  const bool localized = opts.recovery != RecoveryMode::kRollback && log != nullptr;
 
   RecoveryOutcome<Engine> out;
   auto fresh = [&] {
-    EnginePtr engine = make_engine();
-    engine->set_checkpoint_manager(&manager);
-    return engine;
+    EnginePtr next = make_engine();
+    CYCLOPS_CHECK(next->config().faults.get() == faults);
+    CYCLOPS_CHECK(next->config().message_log.get() == log);
+    next->set_checkpoint_manager(&manager);
+    return next;
   };
 
   // One record per recovery cycle; the replay surcharge is priced after the
@@ -146,7 +146,6 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
   // seen, or a double fault inside a replay window would double-fold.
   Superstep digest_covered_until = 0;
 
-  EnginePtr engine = fresh();
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       out.run = engine->run();
@@ -212,7 +211,7 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
         engine->arm_replay(restored_at, digest_covered_until, fault.machine(),
                            crashed_digest);
         // Entries older than the restore point can never be replayed again.
-        opts.log->truncate_before(restored_at);
+        log->truncate_before(restored_at);
       }
 
       windows.push_back(Window{restored_at, fault.superstep(), fault.machine()});
@@ -232,11 +231,8 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
   if (!windows.empty()) {
     const sim::Topology& topo = engine->fabric().topology();
     const MachineId machines = std::max<MachineId>(1, topo.machines);
-    const std::size_t survivors = machines > 1 ? machines - 1 : 1;
-    const std::size_t k =
-        opts.recovery_parallelism > 0
-            ? std::min(opts.recovery_parallelism, survivors)
-            : survivors;
+    // kLogParallel's replayers: every survivor.
+    const std::size_t k = machines > 1 ? machines - 1 : 1;
     double surcharge_us = 0;
     for (const metrics::SuperstepStats& s : out.run.supersteps) {
       bool in_window = false;
@@ -267,8 +263,8 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
     }
     if (localized) {
       for (const Window& w : windows) {
-        double refeed_us = opts.log->refeed_wire_us(topo, engine->fabric().cost_model(),
-                                                    w.dead, w.resume_at, w.until);
+        double refeed_us = log->refeed_wire_us(topo, engine->fabric().cost_model(), w.dead,
+                                               w.resume_at, w.until);
         if (opts.recovery == RecoveryMode::kLogParallel) {
           // Each slice replayer is re-fed its own portion of the dead
           // machine's inbound log concurrently, over K distinct links.
@@ -284,8 +280,8 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
   out.recovery.checkpoint_bytes_written = manager.bytes_written();
   out.recovery.last_checkpoint_bytes = manager.last_checkpoint_bytes();
   out.recovery.modeled_checkpoint_s = manager.modeled_checkpoint_s();
-  if (opts.log != nullptr) {
-    const sim::MessageLogStats& ls = opts.log->stats();
+  if (log != nullptr) {
+    const sim::MessageLogStats& ls = log->stats();
     out.recovery.log_bytes = ls.logged_bytes;
     out.recovery.log_packages = ls.logged_packages;
     out.recovery.replay_verified_packages = ls.verified_packages;

@@ -9,9 +9,6 @@
 #include "cyclops/common/crc32.hpp"
 #include "cyclops/common/rng.hpp"
 #include "cyclops/common/timer.hpp"
-#include "cyclops/partition/hash.hpp"
-#include "cyclops/partition/ldg.hpp"
-#include "cyclops/partition/multilevel.hpp"
 
 namespace cyclops::service {
 
@@ -19,14 +16,9 @@ namespace {
 
 partition::EdgeCutPartition make_edge_cut(const graph::GraphStore& g,
                                           const SnapshotConfig& cfg, WorkerId parts) {
-  if (cfg.partitioner == "ldg") return partition::LdgPartitioner{}.partition(g, parts);
-  if (cfg.partitioner == "multilevel") {
-    partition::MultilevelConfig mc;
-    mc.seed = cfg.partition_seed;
-    return partition::MultilevelPartitioner{mc}.partition(g, parts);
-  }
-  CYCLOPS_CHECK(cfg.partitioner == "hash");
-  return partition::HashPartitioner{}.partition(g, parts);
+  const auto partitioner = partition::make_edge_cut_partitioner(cfg.partitioner);
+  CYCLOPS_CHECK(partitioner != nullptr);
+  return partitioner->partition(g, parts);
 }
 
 /// Overlay epochs carry the base epoch's owner vector forward and assign new

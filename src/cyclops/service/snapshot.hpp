@@ -43,8 +43,7 @@ using Epoch = std::uint64_t;
 struct SnapshotConfig {
   MachineId machines = 4;
   WorkerId workers_per_machine = 2;  ///< Hama/Cyclops partitions per machine
-  std::string partitioner = "hash";  ///< hash | ldg | multilevel (edge cuts)
-  std::uint64_t partition_seed = 42;
+  std::string partitioner = "hash";  ///< one of partition::kEdgeCutPartitioners
 
   /// Graph store backend every epoch materializes (memory | compact | stream)
   /// and the streaming backend's memory cap. Values are bit-identical across

@@ -124,8 +124,8 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan) noexcept : plan_(plan) {}
 
-  /// Repositions the fault clock; called by the SuperstepDriver at the top of
-  /// every superstep (also during replay, so replayed exchanges roll the same
+  /// Repositions the fault clock; called by the engine shell's run loop at the
+  /// top of every superstep (also during replay, so replayed exchanges roll the same
   /// per-package faults the original run saw).
   void begin_superstep(Superstep s) noexcept {
     superstep_ = s;

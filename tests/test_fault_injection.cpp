@@ -260,7 +260,7 @@ TEST(AutoRecovery, BspPageRankRecoversFromCrash) {
       [&] {
         return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, pr, faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   EXPECT_EQ(outcome.recovery.faults_detected, 1u);
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
@@ -297,7 +297,7 @@ TEST(AutoRecovery, CyclopsPageRankRecoversFromCrash) {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
   EXPECT_EQ(outcome.recovery.lost_supersteps, 11u - 8u);  // rolled back to ckpt@8
@@ -330,7 +330,7 @@ TEST(AutoRecovery, CyclopsSsspRecoversFromCrash) {
       [&] {
         return std::make_unique<core::Engine<algo::SsspCyclops>>(g, part, sssp, faulty);
       },
-      opts, faulty.faults.get());
+      opts);
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
   expect_bit_identical(outcome.engine->values(), want);
 }
@@ -358,7 +358,7 @@ TEST(AutoRecovery, BspSsspRecoversFromCrash) {
   opts.mode = runtime::CheckpointMode::kHeavyweight;
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<bsp::Engine<algo::SsspBsp>>(g, part, sssp, faulty); },
-      opts, faulty.faults.get());
+      opts);
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
   expect_bit_identical(outcome.engine->values(),
                        std::span<const double>(clean.values()));
@@ -388,7 +388,7 @@ TEST(AutoRecovery, GasPageRankRecoversFromCrash) {
       [&] {
         return std::make_unique<gas::Engine<algo::PageRankGas>>(g, part, pr, faulty);
       },
-      opts, faulty.faults.get());
+      opts);
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
   const auto got = outcome.engine->values();
   ASSERT_EQ(got.size(), want.size());
@@ -427,7 +427,7 @@ TEST(AutoRecovery, GasSsspRecoversFromCrash) {
   opts.checkpoint_every = 2;
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<gas::Engine<algo::SsspGas>>(g, part, sssp, faulty); },
-      opts, faulty.faults.get());
+      opts);
   EXPECT_EQ(outcome.recovery.recoveries, 1u);
   expect_bit_identical(outcome.engine->values(), want);
 }
@@ -453,7 +453,7 @@ TEST(AutoRecovery, CrashWithoutCheckpointReplaysFromScratch) {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
   EXPECT_EQ(outcome.recovery.checkpoints_taken, 0u);
   EXPECT_EQ(outcome.recovery.lost_supersteps, 5u);  // everything replayed
   expect_bit_identical(outcome.engine->values(), clean.values());
@@ -480,8 +480,32 @@ TEST(AutoRecovery, UnrecoverableWhenRetriesExhausted) {
             return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                          faulty);
           },
-          opts, faulty.faults.get()),
+          opts),
       sim::FaultError);
+}
+
+// The injector's one-shot crash latch only works if every incarnation shares
+// it: a factory that builds a fresh injector per engine would re-crash every
+// replacement. run_with_recovery refuses such a factory at the first rebuild.
+TEST(AutoRecovery, FactoryMustShareTheInjector) {
+  const graph::Csr g = graph::Csr::build(graph::gen::rmat(6, 300, 5));
+  const auto part = test::hash_partition(g, 2);
+  algo::PageRankCyclops pr;
+  core::Config cfg = core::Config::cyclops(2, 1);
+  cfg.max_supersteps = 30;
+  sim::FaultPlan plan;
+  plan.crash_at = 2;
+  runtime::RecoveryOptions opts;
+  EXPECT_DEATH(
+      (void)runtime::run_with_recovery(
+          [&] {
+            core::Config fresh = cfg;
+            fresh.faults = std::make_shared<sim::FaultInjector>(plan);
+            return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
+                                                                         fresh);
+          },
+          opts),
+      "CYCLOPS_CHECK failed: next->config\\(\\)\\.faults");
 }
 
 // Satellite: identical --fault-seed must mean identical fault schedule,
@@ -510,7 +534,7 @@ TEST(Determinism, IdenticalSeedsIdenticalRecovery) {
           return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                        cfg);
         },
-        opts, cfg.faults.get());
+        opts);
     return std::make_pair(outcome.recovery, outcome.engine->values());
   };
 
@@ -559,7 +583,7 @@ TEST(CheckpointModes, CyclopsLightweightSmallerThanBspHeavyweight) {
         return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, bsp_pr,
                                                                 bsp_cfg);
       },
-      bsp_opts, nullptr, &bsp_store);
+      bsp_opts, &bsp_store);
 
   runtime::MemoryCheckpointStore cy_store;
   algo::PageRankCyclops cy_pr;
@@ -574,7 +598,7 @@ TEST(CheckpointModes, CyclopsLightweightSmallerThanBspHeavyweight) {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, cy_pr,
                                                                      cy_cfg);
       },
-      cy_opts, nullptr, &cy_store);
+      cy_opts, &cy_store);
 
   ASSERT_GT(bsp_outcome.recovery.checkpoints_taken, 0u);
   ASSERT_GT(cy_outcome.recovery.checkpoints_taken, 0u);

@@ -191,7 +191,7 @@ TEST(Lint, CommonPathExemptsRawThread) {
 
 TEST(Lint, ClassifyPath) {
   EXPECT_TRUE(az::classify_path("src/cyclops/common/thread_pool.cpp").in_common);
-  EXPECT_FALSE(az::classify_path("src/cyclops/runtime/superstep_driver.hpp").in_common);
+  EXPECT_FALSE(az::classify_path("src/cyclops/runtime/engine_shell.hpp").in_common);
   EXPECT_TRUE(az::classify_path("src/cyclops/graph/compact_csr.cpp").in_graph);
   EXPECT_FALSE(az::classify_path("src/cyclops/gas/gas_layout.cpp").in_graph);
   EXPECT_TRUE(az::classify_path("src/cyclops/runtime/sync_channel.hpp").in_runtime);

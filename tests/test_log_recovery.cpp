@@ -175,13 +175,12 @@ TEST(LogRecovery, CyclopsPageRankReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -214,13 +213,12 @@ TEST(LogRecovery, CyclopsSsspParallelReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 4;
   opts.recovery = runtime::RecoveryMode::kLogParallel;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::SsspCyclops>>(g, part, sssp,
                                                                  faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -253,10 +251,9 @@ TEST(LogRecovery, CyclopsCcReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<core::Engine<algo::CcCyclops>>(g, part, cc, faulty); },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -289,13 +286,12 @@ TEST(LogRecovery, CyclopsMtPageRankReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -326,12 +322,11 @@ TEST(LogRecovery, BspPageRankReplayIsBitFaithful) {
   opts.checkpoint_every = 3;
   opts.mode = runtime::CheckpointMode::kHeavyweight;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, pr, faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -364,10 +359,9 @@ TEST(LogRecovery, BspSsspParallelReplayIsBitFaithful) {
   opts.checkpoint_every = 4;
   opts.mode = runtime::CheckpointMode::kHeavyweight;
   opts.recovery = runtime::RecoveryMode::kLogParallel;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<bsp::Engine<algo::SsspBsp>>(g, part, sssp, faulty); },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -399,10 +393,9 @@ TEST(LogRecovery, BspCcReplayIsBitFaithful) {
   opts.checkpoint_every = 3;
   opts.mode = runtime::CheckpointMode::kHeavyweight;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<bsp::Engine<algo::CcBsp>>(g, part, cc, faulty); },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -433,12 +426,11 @@ TEST(LogRecovery, GasPageRankReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 4;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<gas::Engine<algo::PageRankGas>>(g, part, pr, faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -473,10 +465,9 @@ TEST(LogRecovery, GasSsspReplayIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 2;
   opts.recovery = runtime::RecoveryMode::kLogParallel;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] { return std::make_unique<gas::Engine<algo::SsspGas>>(g, part, sssp, faulty); },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -506,13 +497,12 @@ TEST(LogRecovery, SpillBackedLogIsBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
                   clean_digest);
@@ -535,21 +525,18 @@ TEST(LogRecovery, LocalizedRecoveryIsCheaperThanRollback) {
     plan.crash_machine = 2;
     core::Config cfg = base;
     cfg.faults = std::make_shared<sim::FaultInjector>(plan);
-    std::shared_ptr<sim::MessageLog> log;
     if (mode != runtime::RecoveryMode::kRollback) {
-      log = std::make_shared<sim::MessageLog>();
-      cfg.message_log = log;
+      cfg.message_log = std::make_shared<sim::MessageLog>();
     }
     runtime::RecoveryOptions opts;
     opts.checkpoint_every = 5;
     opts.recovery = mode;
-    opts.log = log.get();
     auto outcome = runtime::run_with_recovery(
         [&] {
           return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                        cfg);
         },
-        opts, cfg.faults.get());
+        opts);
     EXPECT_EQ(outcome.recovery.recoveries, 1u)
         << runtime::recovery_mode_name(mode);
     return outcome.recovery;
@@ -617,13 +604,12 @@ TEST(LogRecovery, CorruptCheckpointIsCountedAndReplayedFromScratch) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 2;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get(), &store);
+      opts, &store);
 
   // The checkpoint at boundary 4 existed but was unusable: counted, and the
   // whole prefix was replayed (verified against the log) instead.
@@ -653,14 +639,13 @@ TEST(LogRecovery, LogModeStillEscalatesWhenRetriesExhausted) {
   opts.checkpoint_every = 0;
   opts.max_recoveries = 2;  // second crash exhausts the budget
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   EXPECT_THROW(
       (void)runtime::run_with_recovery(
           [&] {
             return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                          faulty);
           },
-          opts, faulty.faults.get()),
+          opts),
       sim::FaultError);
 }
 
@@ -695,13 +680,12 @@ TEST(LogRecovery, DoubleFaultDuringReplayStaysBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   EXPECT_EQ(outcome.recovery.faults_detected, 2u);
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},
@@ -733,13 +717,12 @@ TEST(LogRecovery, DoubleFaultAfterReplayStaysBitFaithful) {
   runtime::RecoveryOptions opts;
   opts.checkpoint_every = 3;
   opts.recovery = runtime::RecoveryMode::kLog;
-  opts.log = faulty.message_log.get();
   auto outcome = runtime::run_with_recovery(
       [&] {
         return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
                                                                      faulty);
       },
-      opts, faulty.faults.get());
+      opts);
 
   EXPECT_EQ(outcome.recovery.recoveries, 2u);
   expect_faithful({outcome.recovery, outcome.engine->fabric().wire_digest()},

@@ -1,6 +1,6 @@
 // Tests for the shared engine runtime layer: typed sync channels round-trip
 // records through the fabric with byte counts matching the modeled traffic,
-// the superstep driver owns the loop/counter/clock, exchange accounting
+// the engine shell owns the superstep loop/counter/checkpoints, exchange accounting
 // centralizes the counters engines used to duplicate — and the three
 // execution models, now all sitting on that runtime, still agree on results.
 
@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "cyclops/graph/csr.hpp"
@@ -18,8 +20,9 @@
 #include "cyclops/gas/engine.hpp"
 #include "cyclops/graph/generators.hpp"
 #include "cyclops/partition/vertex_cut.hpp"
+#include "cyclops/runtime/engine_shell.hpp"
 #include "cyclops/runtime/exchange_accounting.hpp"
-#include "cyclops/runtime/superstep_driver.hpp"
+#include "cyclops/runtime/recovery.hpp"
 #include "cyclops/runtime/sync_channel.hpp"
 #include "test_util.hpp"
 
@@ -121,44 +124,101 @@ TEST(SyncChannel, PackageReaderHandlesInterleavedRecordTypes) {
   EXPECT_EQ(seen, 9u);
 }
 
+// The smallest engine on the shell: every superstep charges 0.5 s of
+// compute and asks `stop` whether the computation has terminated; a
+// checkpoint frame holds just the superstep counter.
+struct LoopConfig : runtime::EngineConfig {
+  Superstep max_supersteps = 100;
+};
+
+class LoopEngine : public runtime::EngineShell<LoopEngine, LoopConfig> {
+  using Shell = runtime::EngineShell<LoopEngine, LoopConfig>;
+  friend Shell;
+
+ public:
+  static constexpr runtime::CheckpointMode kCheckpointMode =
+      runtime::CheckpointMode::kLightweight;
+  static constexpr sim::CostModel kCost = sim::CostModel::zero();
+  static constexpr bool kWireIsChurn = true;
+
+  explicit LoopEngine(Superstep cap, std::function<bool(Superstep)> stop = {})
+      : Shell(config_for(cap), 0), stop_(std::move(stop)) {}
+
+  using Shell::set_superstep;
+
+ private:
+  static LoopConfig config_for(Superstep cap) {
+    LoopConfig c;
+    c.topo = sim::Topology{1, 1};
+    c.max_supersteps = cap;
+    return c;
+  }
+
+  bool run_superstep(metrics::SuperstepStats& s) {
+    ledger_.charge_compute(0, 0.5e6);
+    return stop_ && stop_(s.superstep);
+  }
+  void checkpoint_machine(MachineId, ByteWriter& out, runtime::CheckpointMode) const {
+    out.write(superstep());
+  }
+  void restore_machine(MachineId, ByteReader& in) { set_superstep(in.read<Superstep>()); }
+  void after_restore() {}
+
+  std::function<bool(Superstep)> stop_;
+};
+
 TEST(SuperstepDriver, RunsUntilCapAndAccumulatesElapsed) {
-  runtime::SuperstepDriver driver;
-  runtime::ExchangeAccounting acct;
+  LoopEngine engine(5);
   std::vector<Superstep> notified;
-  const metrics::RunStats stats = driver.run(
-      5, acct,
-      [&](metrics::SuperstepStats& s) {
-        s.phases.cmp_s = 0.5;
-        return false;  // never terminates on its own
-      },
-      [&](const metrics::SuperstepStats& s) { notified.push_back(s.superstep); });
+  engine.set_observer([&](const metrics::SuperstepStats& s, const LoopEngine&) {
+    notified.push_back(s.superstep);
+  });
+  const metrics::RunStats stats = engine.run();
   EXPECT_EQ(stats.supersteps.size(), 5u);
-  EXPECT_EQ(driver.superstep(), 5u);
+  EXPECT_EQ(engine.superstep(), 5u);
   EXPECT_DOUBLE_EQ(stats.phase_totals().total_s(), 2.5);
   EXPECT_EQ(notified, (std::vector<Superstep>{0, 1, 2, 3, 4}));
 }
 
 TEST(SuperstepDriver, StopsWhenStepReportsTermination) {
-  runtime::SuperstepDriver driver;
-  runtime::ExchangeAccounting acct;
-  const metrics::RunStats stats = driver.run(
-      100, acct, [&](metrics::SuperstepStats&) { return driver.superstep() == 2; },
-      [](const metrics::SuperstepStats&) {});
+  LoopEngine engine(100, [](Superstep s) { return s == 2; });
+  const metrics::RunStats stats = engine.run();
   EXPECT_EQ(stats.supersteps.size(), 3u);
-  EXPECT_EQ(driver.superstep(), 3u);
+  EXPECT_EQ(engine.superstep(), 3u);
 }
 
 TEST(SuperstepDriver, SetSuperstepRepositionsForRestore) {
-  runtime::SuperstepDriver driver;
-  runtime::ExchangeAccounting acct;
-  driver.set_superstep(7);
-  EXPECT_EQ(driver.superstep(), 7u);
-  const metrics::RunStats stats = driver.run(
-      10, acct, [](metrics::SuperstepStats&) { return false; },
-      [](const metrics::SuperstepStats&) {});
+  LoopEngine engine(10);
+  engine.set_superstep(7);
+  EXPECT_EQ(engine.superstep(), 7u);
+  const metrics::RunStats stats = engine.run();
   ASSERT_EQ(stats.supersteps.size(), 3u);
   EXPECT_EQ(stats.supersteps.front().superstep, 7u);
-  EXPECT_EQ(driver.superstep(), 10u);
+  EXPECT_EQ(engine.superstep(), 10u);
+}
+
+// A fault-free run of S supersteps with checkpoint_every k takes a
+// checkpoint at every multiple of k below S and none after the last
+// superstep, whether the cap or the engine's own stop rule ends the run:
+// floor((S - 1) / k) in all.
+TEST(EngineShell, CheckpointCadenceIsExact) {
+  for (const Superstep s : {1u, 2u, 5u, 9u, 10u, 12u}) {
+    for (const Superstep k : {1u, 2u, 3u, 5u, 12u}) {
+      runtime::RecoveryOptions opts;
+      opts.checkpoint_every = k;
+      const auto capped =
+          runtime::run_with_recovery([&] { return std::make_unique<LoopEngine>(s); }, opts);
+      const auto stopped = runtime::run_with_recovery(
+          [&] {
+            return std::make_unique<LoopEngine>(100, [s](Superstep at) { return at + 1 == s; });
+          },
+          opts);
+      for (const auto* outcome : {&capped, &stopped}) {
+        ASSERT_EQ(outcome->run.supersteps.size(), s);
+        EXPECT_EQ(outcome->recovery.checkpoints_taken, (s - 1) / k) << "S=" << s << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(ExchangeAccounting, TracksPeakChurnAndMessages) {

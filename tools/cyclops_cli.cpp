@@ -39,9 +39,7 @@
 #include "cyclops/ingest/incremental.hpp"
 #include "cyclops/ingest/ingestor.hpp"
 #include "cyclops/metrics/reporter.hpp"
-#include "cyclops/partition/hash.hpp"
-#include "cyclops/partition/ldg.hpp"
-#include "cyclops/partition/multilevel.hpp"
+#include "cyclops/partition/partition.hpp"
 #include "cyclops/partition/vertex_cut.hpp"
 #include "cyclops/runtime/recovery.hpp"
 #include "cyclops/service/service.hpp"
@@ -331,6 +329,10 @@ Options parse(int argc, char** argv) {
   } else {
     args::Parser::fail("unknown engine '" + engine_tok + "'");
   }
+  if (!partition::make_edge_cut_partitioner(o.partitioner)) {
+    args::Parser::fail("unknown partitioner '" + o.partitioner + "'; choose from " +
+                       std::string(partition::kEdgeCutPartitioners));
+  }
   if (!o.checkpoint_mode.empty() && o.checkpoint_mode != "light" &&
       o.checkpoint_mode != "heavy") {
     std::fprintf(stderr, "--checkpoint-mode must be light or heavy\n");
@@ -392,17 +394,6 @@ graph::EdgeList load_graph(Options& o) {
   if (o.num_users == 0) o.num_users = d.num_users;
   std::printf("dataset: %s\n", d.describe().c_str());
   return std::move(d.edges);
-}
-
-partition::EdgeCutPartition make_partition(const Options& o, const graph::GraphStore& g,
-                                           WorkerId parts) {
-  if (o.partitioner == "hash") return partition::HashPartitioner{}.partition(g, parts);
-  if (o.partitioner == "ldg") return partition::LdgPartitioner{}.partition(g, parts);
-  if (o.partitioner == "multilevel") {
-    return partition::MultilevelPartitioner{}.partition(g, parts);
-  }
-  std::fprintf(stderr, "unknown partitioner '%s'\n", o.partitioner.c_str());
-  std::exit(2);  // NOLINT(concurrency-mt-unsafe) — single-threaded startup
 }
 
 void emit_csv(const Options& o, const metrics::RunStats& stats) {
@@ -504,9 +495,8 @@ int run_engine(const Options& o, const std::string& label, const graph::GraphSto
     opts.checkpoint_every = o.checkpoint_every;
     opts.mode = o.mode_or(Engine::kCheckpointMode);
     opts.recovery = o.recovery_mode();
-    opts.log = cfg.message_log.get();
     auto outcome = runtime::run_with_recovery(
-        [&] { return std::make_unique<Engine>(g, part, prog, cfg); }, opts, cfg.faults.get());
+        [&] { return std::make_unique<Engine>(g, part, prog, cfg); }, opts);
     std::printf("%s\n", metrics::run_summary(label, outcome.run).c_str());
     std::printf("%s\n", metrics::recovery_summary(outcome.recovery).c_str());
     emit_csv(o, outcome.run);
@@ -910,7 +900,7 @@ int main(int argc, char** argv) {
           if constexpr (algo::kVertexCut<Engine>) {
             return partition::RandomVertexCut{}.partition(g, parts);
           } else {
-            return make_partition(o, g, parts);
+            return partition::make_edge_cut_partitioner(o.partitioner)->partition(g, parts);
           }
         }();
         return run_engine<Engine>(o, label, g, part, prog, cfg);
