@@ -81,14 +81,20 @@ struct AlsBsp {
     factors.reserve(msgs.size());
     ratings.reserve(msgs.size());
     const auto edges = ctx.out_edges();  // sorted by neighbor id
+    std::vector<bool> paired(edges.size());
     for (const Message& m : msgs) {
-      // Pair the sender's factor with this vertex's rating of the sender.
-      auto it = std::lower_bound(
-          edges.begin(), edges.end(), m.sender,
-          [](const graph::Adj& a, VertexId v) { return a.neighbor < v; });
-      if (it == edges.end() || it->neighbor != m.sender) continue;
+      // Pair the sender's factor with this vertex's rating of the sender. A
+      // sender sends once per parallel edge, so each of its messages takes
+      // the next unpaired edge to it: every rating counts once.
+      auto i = static_cast<std::size_t>(
+          std::lower_bound(edges.begin(), edges.end(), m.sender,
+                           [](const graph::Adj& a, VertexId v) { return a.neighbor < v; }) -
+          edges.begin());
+      while (i < edges.size() && edges[i].neighbor == m.sender && paired[i]) ++i;
+      if (i == edges.size() || edges[i].neighbor != m.sender) continue;
+      paired[i] = true;
       factors.push_back(m.factor);
-      ratings.push_back(it->weight);
+      ratings.push_back(edges[i].weight);
     }
     if (!factors.empty()) {
       ctx.set_value(als_solve(factors, ratings, lambda));

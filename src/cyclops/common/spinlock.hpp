@@ -32,8 +32,6 @@ class SpinLock {
     return acquisitions_.load(std::memory_order_relaxed);
   }
 
-  void reset_stats() noexcept { acquisitions_.store(0, std::memory_order_relaxed); }
-
  private:
   std::atomic<bool> flag_{false};
   std::atomic<std::uint64_t> acquisitions_{0};

@@ -58,7 +58,6 @@ class ThreadPool {
   /// Installs (or clears, with nullptr) the scheduling hook. Not owned. Must
   /// not be called while a parallel section is running.
   void set_task_order(TaskOrderHook* hook) noexcept { order_hook_ = hook; }
-  [[nodiscard]] TaskOrderHook* task_order() const noexcept { return order_hook_; }
 
   /// Runs fn(chunk_begin, chunk_end) over [0, n) split into static chunks,
   /// one chunk stream per worker; blocks until every chunk is done. Runs

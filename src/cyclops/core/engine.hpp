@@ -236,18 +236,20 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   }
 
   /// Invariant check: every replica's shared data equals its master's
-  /// (bitwise). Holds at every superstep boundary.
+  /// (bitwise, padding aside: a replica receives it cleared by the wire,
+  /// while the master's may hold whatever its temporary did). Holds at every
+  /// superstep boundary.
   [[nodiscard]] bool replicas_consistent() const {
     for (WorkerId w = 0; w < layout_.workers.size(); ++w) {
       const WorkerLayout& wl = layout_.workers[w];
       for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
-        const Message& master_data = shared_data_[w][i];
+        Message master_data = shared_data_[w][i];
+        __builtin_clear_padding(&master_data);
         for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
           const ReplicaRef ref = wl.rep_targets[r];
-          if (std::memcmp(&shared_data_[ref.worker][ref.slot], &master_data,
-                          sizeof(Message)) != 0) {
-            return false;
-          }
+          Message replica = shared_data_[ref.worker][ref.slot];
+          __builtin_clear_padding(&replica);
+          if (std::memcmp(&replica, &master_data, sizeof(Message)) != 0) return false;
         }
       }
     }

@@ -22,8 +22,7 @@ void build_direction(const std::vector<Edge>& edges, VertexId n, bool by_src,
   }
   for (VertexId v = 0; v < n; ++v) {
     std::sort(adj.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adj.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]),
-              [](const Adj& a, const Adj& b) { return a.neighbor < b.neighbor; });
+              adj.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]), CanonicalAdjLess{});
   }
 }
 }  // namespace

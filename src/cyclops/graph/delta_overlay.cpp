@@ -66,10 +66,10 @@ DeltaOverlay::Patch DeltaOverlay::build_patch(const GraphStore& base, bool out_s
         p.adj.push_back(Adj{out_side ? e.dst : e.src, e.weight});
       }
     }
-    // Base entries are already ascending; stable re-sort merges the appended
-    // adds in while keeping base-before-add tie order (canonical contract).
-    std::stable_sort(p.adj.begin() + static_cast<std::ptrdiff_t>(start), p.adj.end(),
-                     [](const Adj& a, const Adj& b) { return a.neighbor < b.neighbor; });
+    // Re-sort in the canonical total order, so the merged adjacency equals a
+    // flat rebuild's entry for entry, parallel edges included.
+    std::sort(p.adj.begin() + static_cast<std::ptrdiff_t>(start), p.adj.end(),
+              CanonicalAdjLess{});
     p.offsets.push_back(p.adj.size());
   }
   return p;
@@ -93,9 +93,7 @@ DeltaOverlay::DeltaOverlay(const GraphStore& base, const std::vector<Edge>& adds
   in_ = build_patch(base, /*out_side=*/false, adds, removes, n_, removed_in);
   CYCLOPS_CHECK(removed_out == removed_in);
 
-  added_edges_ = adds.size();
-  removed_edges_ = removed_out;
-  m_ = base.num_edges() - removed_edges_ + added_edges_;
+  m_ = base.num_edges() - removed_out + adds.size();
 }
 
 std::size_t DeltaOverlay::out_degree(VertexId v) const noexcept {

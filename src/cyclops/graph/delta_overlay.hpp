@@ -12,12 +12,9 @@
 //   - The base store is *never* mutated; the overlay only reads it. The
 //     caller must keep the base alive for the overlay's lifetime (the
 //     service layer pins the base epoch's Snapshot via SnapshotRef).
-//   - Enumeration order stays canonical (ascending neighbor id), so
-//     partitions, layouts, and wire digests remain comparable with a flat
-//     rebuild of the mutated graph. For multi-edges on the same (src, dst)
-//     pair this holds whenever their weights are equal (the repo's edge
-//     pipelines dedupe pairs); distinct-weight parallels may tie-break
-//     differently than a flat re-sort.
+//   - Enumeration order stays canonical (CanonicalAdjLess: neighbor id,
+//     then weight), so partitions, layouts, and wire digests remain
+//     comparable with a flat rebuild of the mutated graph.
 //   - Overlays chain (an overlay's base may itself be an overlay); `depth()`
 //     reports the chain length so the publication path can trigger
 //     compaction back to a flat store before lookup cost degrades.
@@ -61,16 +58,10 @@ class DeltaOverlay final : public GraphStore {
   [[nodiscard]] const GraphStore& base() const noexcept { return *base_; }
   /// Overlay chain length: 1 over a flat base, base.depth()+1 over an overlay.
   [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
-  /// Distinct vertices whose adjacency this overlay re-materialized.
-  [[nodiscard]] std::size_t overlay_vertices() const noexcept {
-    return out_.verts.size() + in_.verts.size();
-  }
   /// Adjacency entries held by the patch (both directions).
   [[nodiscard]] std::size_t overlay_entries() const noexcept {
     return out_.adj.size() + in_.adj.size();
   }
-  [[nodiscard]] std::size_t added_edges() const noexcept { return added_edges_; }
-  [[nodiscard]] std::size_t removed_edges() const noexcept { return removed_edges_; }
 
   /// Flattens the overlay view into a fresh edge list (canonical enumeration
   /// order) — the compaction path back to a flat store.
@@ -95,8 +86,6 @@ class DeltaOverlay final : public GraphStore {
   VertexId n_ = 0;
   std::size_t m_ = 0;
   std::uint32_t depth_ = 1;
-  std::size_t added_edges_ = 0;
-  std::size_t removed_edges_ = 0;
   Patch out_;
   Patch in_;
 

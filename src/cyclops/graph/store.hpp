@@ -14,6 +14,7 @@
 // decoding/paging backends return spans without locks or shared mutable
 // state. One cursor per thread; spans are valid until the cursor's next call.
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -35,6 +36,17 @@ struct Adj {
   double weight = 1.0;
 
   [[nodiscard]] bool operator==(const Adj&) const = default;
+};
+
+/// The canonical adjacency order: ascending neighbor id, then ascending
+/// weight in IEEE total order (-0.0 before 0.0). It is a total order on
+/// entries, so every sort of the same multiset of entries yields the same
+/// sequence, parallel edges with distinct weights included.
+struct CanonicalAdjLess {
+  [[nodiscard]] bool operator()(const Adj& a, const Adj& b) const noexcept {
+    if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
+    return std::strong_order(a.weight, b.weight) < 0;
+  }
 };
 
 enum class StoreKind {
@@ -92,8 +104,8 @@ class GraphStore {
   [[nodiscard]] virtual std::size_t out_degree(VertexId v) const noexcept = 0;
   [[nodiscard]] virtual std::size_t in_degree(VertexId v) const noexcept = 0;
 
-  /// Out-/in-adjacency of `v`, in the canonical CSR order (ascending
-  /// neighbor id; multi-edges keep build order). The span may point into
+  /// Out-/in-adjacency of `v`, in canonical order (CanonicalAdjLess:
+  /// by neighbor id, then by weight). The span may point into
   /// `cur` and is invalidated by the cursor's next query. May throw on IO
   /// errors (stream backend).
   [[nodiscard]] virtual std::span<const Adj> out_neighbors(VertexId v,

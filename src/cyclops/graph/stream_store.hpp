@@ -50,7 +50,6 @@ class StreamStore final : public GraphStore {
   }
 
   [[nodiscard]] std::uint64_t mem_cap_bytes() const noexcept { return mem_cap_bytes_; }
-  [[nodiscard]] std::uint64_t window_bytes() const noexcept { return window_bytes_; }
   [[nodiscard]] std::uint64_t file_bytes() const noexcept { return file_bytes_; }
 
  private:

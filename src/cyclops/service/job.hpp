@@ -39,15 +39,4 @@ struct JobResult {
 
 enum class JobState { kQueued, kRunning, kDone, kCancelled, kFailed };
 
-[[nodiscard]] inline const char* job_state_name(JobState s) {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kDone: return "done";
-    case JobState::kCancelled: return "cancelled";
-    case JobState::kFailed: return "failed";
-  }
-  return "?";
-}
-
 }  // namespace cyclops::service

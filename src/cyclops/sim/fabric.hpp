@@ -187,8 +187,8 @@ class Fabric {
   /// Order-sensitive FNV-1a fold of every package delivered so far: (src,
   /// dst, message count, payload CRC) in delivery order, across exchanges.
   /// Two runs of the same seeded workload must produce identical digests —
-  /// the wire-determinism regression (tests/test_wire_determinism.cpp)
-  /// asserts this bit-for-bit, which is what makes hash-order iteration
+  /// the differential harness (tests/test_differential.cpp) asserts this
+  /// bit-for-bit, which is what makes hash-order iteration
   /// feeding an OutBox a test failure rather than a latent flake.
   [[nodiscard]] std::uint64_t wire_digest() const noexcept { return wire_digest_; }
 

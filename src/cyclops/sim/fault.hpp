@@ -198,10 +198,6 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t exchange_in_step() const noexcept {
     return exchange_in_step_;
   }
-  [[nodiscard]] bool crash_pending() const noexcept {
-    return (plan_.crash_at != kNeverCrash && !crash_fired_) ||
-           (plan_.crash2_at != kNeverCrash && !crash2_fired_);
-  }
 
  private:
   /// Stateless SplitMix64-style mix of the full fault coordinate.

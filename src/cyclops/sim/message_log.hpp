@@ -40,10 +40,6 @@ namespace cyclops::sim {
 
 enum class LogStoreKind : std::uint8_t { kMemory = 0, kSpill = 1 };
 
-[[nodiscard]] inline const char* log_store_kind_name(LogStoreKind k) noexcept {
-  return k == LogStoreKind::kMemory ? "memory" : "spill";
-}
-
 struct MessageLogStats {
   std::uint64_t logged_packages = 0;
   std::uint64_t logged_messages = 0;

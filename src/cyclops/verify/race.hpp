@@ -178,16 +178,6 @@ class Runtime {
     schedule_ = digest;
   }
 
-  /// Forgets the lock clock for a destroyed lock so a recycled address
-  /// cannot import a stale clock (engines call this from lock destructors
-  /// where address reuse matters; omitting it is conservative — extra HB,
-  /// only ever masking, and only for same-address recycling).
-  void forget_lock(const void* addr) {
-    if (!enabled()) return;
-    LockGuard<Mutex> lock(mu_);
-    lock_clocks_.erase(addr);
-  }
-
  private:
   friend class Region;
   friend class TaskScope;

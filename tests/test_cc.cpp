@@ -1,5 +1,6 @@
-// Tests for Connected Components: the union-find reference, both engine
-// programs, and cross-engine agreement on assorted undirected graphs.
+// Tests for Connected Components: the union-find reference and both engine
+// programs. Cross-engine agreement on assorted undirected graphs is the
+// differential harness's Sweep/CcEngines (test_differential.cpp).
 
 #include <gtest/gtest.h>
 
@@ -85,62 +86,6 @@ TEST(CcCyclops, ActiveSetCollapsesAfterLabelsSettle) {
   // The final superstep only recomputes the trailing frontier.
   EXPECT_LT(stats.supersteps.back().active_vertices, 12u);
 }
-
-struct CcCase {
-  unsigned kind;
-  WorkerId workers;
-  std::uint64_t seed;
-};
-
-class CcEngines : public ::testing::TestWithParam<CcCase> {};
-
-TEST_P(CcEngines, BspAndCyclopsMatchUnionFind) {
-  const auto [kind, workers, seed] = GetParam();
-  graph::EdgeList edges;
-  switch (kind) {
-    case 0: {
-      // Sparse ER stored undirected: many components.
-      graph::EdgeList base = graph::gen::erdos_renyi(400, 250, seed);
-      edges = graph::EdgeList(400);
-      for (const graph::Edge& e : base.edges()) edges.add_undirected(e.src, e.dst);
-      break;
-    }
-    case 1: {
-      graph::gen::CommunitySpec spec{5, 30, 4, 0.98};
-      edges = graph::gen::planted_communities(spec, seed);
-      break;
-    }
-    default:
-      edges = graph::gen::preferential_attachment(300, 2, seed);
-      break;
-  }
-  const graph::Csr g = graph::Csr::build(edges);
-  const auto reference = cc_reference(g);
-  const auto part = test::hash_partition(g, workers);
-
-  CcBsp bsp_prog;
-  bsp::Config bsp_cfg = bsp::Config::workers(workers);
-  bsp_cfg.max_supersteps = 300;
-  bsp::Engine<CcBsp> bsp_engine(g, part, bsp_prog, bsp_cfg);
-  (void)bsp_engine.run();
-
-  CcCyclops cy_prog;
-  core::Config cy_cfg = core::Config::cyclops(workers, 1);
-  cy_cfg.max_supersteps = 300;
-  core::Engine<CcCyclops> cy_engine(g, part, cy_prog, cy_cfg);
-  (void)cy_engine.run();
-
-  const auto cy_values = cy_engine.values();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(bsp_engine.values()[v], reference[v]) << "bsp vertex " << v;
-    EXPECT_EQ(cy_values[v], reference[v]) << "cyclops vertex " << v;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, CcEngines,
-                         ::testing::Values(CcCase{0, 2, 1}, CcCase{0, 5, 2},
-                                           CcCase{1, 3, 3}, CcCase{1, 6, 4},
-                                           CcCase{2, 4, 5}, CcCase{2, 8, 6}));
 
 }  // namespace
 }  // namespace cyclops::algo

@@ -1,12 +1,12 @@
 // Tests for the shared engine runtime layer: typed sync channels round-trip
 // records through the fabric with byte counts matching the modeled traffic,
 // the engine shell owns the superstep loop/counter/checkpoints, exchange accounting
-// centralizes the counters engines used to duplicate — and the three
-// execution models, now all sitting on that runtime, still agree on results.
+// centralizes the counters engines used to duplicate. That the three
+// execution models on that runtime agree on results is the differential
+// harness's EngineEquivalence.* (test_differential.cpp).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -245,49 +245,6 @@ TEST(ExchangeAccounting, TracksPeakChurnAndMessages) {
   EXPECT_EQ(acct.messages(), 5u);
 }
 
-// --- Engine equivalence: all three execution models share the runtime and
-// must still produce identical results on the same input. ---
-
-TEST(EngineEquivalence, PageRankAgreesAcrossAllThreeEngines) {
-  const graph::EdgeList e = graph::gen::rmat(9, 3000, 77);
-  const graph::Csr g = graph::Csr::build(e);
-  const auto part = test::hash_partition(g, 4);
-
-  algo::PageRankBsp pr_bsp;
-  pr_bsp.epsilon = 1e-12;
-  bsp::Config bsp_cfg = bsp::Config::workers(4);
-  bsp_cfg.max_supersteps = 300;
-  bsp::Engine<algo::PageRankBsp> bsp_engine(g, part, pr_bsp, bsp_cfg);
-  (void)bsp_engine.run();
-  const auto bsp_vals = bsp_engine.values();
-
-  algo::PageRankCyclops pr_cyc;
-  pr_cyc.epsilon = 1e-12;
-  core::Config cyc_cfg = core::Config::cyclops(4, 1);
-  cyc_cfg.max_supersteps = 300;
-  core::Engine<algo::PageRankCyclops> cyc_engine(g, part, pr_cyc, cyc_cfg);
-  (void)cyc_engine.run();
-  const std::vector<double> cyc_vals = cyc_engine.values();
-
-  algo::PageRankGas pr_gas;
-  pr_gas.num_vertices = e.num_vertices();
-  pr_gas.epsilon = 1e-12;
-  gas::Config gas_cfg = gas::Config::workers(4);
-  gas_cfg.max_iterations = 300;
-  gas::Engine<algo::PageRankGas> gas_engine(
-      g, partition::GreedyVertexCut{}.partition(g, 4), pr_gas, gas_cfg);
-  (void)gas_engine.run();
-  const auto gas_vals = gas_engine.values();
-
-  double bsp_vs_cyc = 0, bsp_vs_gas = 0;
-  for (VertexId v = 0; v < e.num_vertices(); ++v) {
-    bsp_vs_cyc = std::max(bsp_vs_cyc, std::abs(bsp_vals[v] - cyc_vals[v]));
-    bsp_vs_gas = std::max(bsp_vs_gas, std::abs(bsp_vals[v] - gas_vals[v].rank));
-  }
-  EXPECT_LT(bsp_vs_cyc, 1e-8);
-  EXPECT_LT(bsp_vs_gas, 1e-8);
-}
-
 // The shell owns the observer: every engine calls it once per superstep, in
 // order, with the engine itself, so one generic observer reads values() from
 // any of them.
@@ -331,36 +288,6 @@ TEST(EngineShell, ObserverSeesEverySuperstepOnAllThreeEngines) {
   gas::Engine<algo::SsspGas> gas_engine(g, partition::RandomVertexCut{}.partition(g, 3),
                                         algo::SsspGas{}, gas_cfg);
   expect_observer_sees_every_superstep(gas_engine, reference);
-}
-
-TEST(EngineEquivalence, SsspAgreesBetweenBspAndCyclops) {
-  graph::gen::RoadSpec spec;
-  spec.rows = 20;
-  spec.cols = 20;
-  const graph::Csr g = graph::Csr::build(graph::gen::road_grid(spec, 7));
-  const auto part = test::hash_partition(g, 3);
-  const std::vector<double> reference = algo::sssp_reference(g, 0);
-
-  algo::SsspBsp sssp_bsp;
-  sssp_bsp.source = 0;
-  bsp::Config bsp_cfg = bsp::Config::workers(3);
-  bsp_cfg.max_supersteps = 500;
-  bsp::Engine<algo::SsspBsp> bsp_engine(g, part, sssp_bsp, bsp_cfg);
-  (void)bsp_engine.run();
-
-  algo::SsspCyclops sssp_cyc;
-  sssp_cyc.source = 0;
-  core::Config cyc_cfg = core::Config::cyclops(3, 1);
-  cyc_cfg.max_supersteps = 500;
-  core::Engine<algo::SsspCyclops> cyc_engine(g, part, sssp_cyc, cyc_cfg);
-  (void)cyc_engine.run();
-
-  const auto bsp_vals = bsp_engine.values();
-  const std::vector<double> cyc_vals = cyc_engine.values();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(bsp_vals[v], reference[v]) << "bsp vs dijkstra at " << v;
-    EXPECT_DOUBLE_EQ(cyc_vals[v], reference[v]) << "cyclops vs dijkstra at " << v;
-  }
 }
 
 }  // namespace

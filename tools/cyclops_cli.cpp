@@ -555,19 +555,18 @@ service::ServiceConfig service_config(const Options& o) {
   return cfg;
 }
 
-// Replays a scripted multi-tenant workload against the service: `job` lines
-// submit against the newest epoch, `add`/`remove` stage a delta, `commit`
-// publishes it as a new epoch, `wait` drains in-flight jobs. One
-// metrics::job_summary line per job and the service summary print at the end.
-int run_serve(const Options& o, graph::EdgeList edges) {
+// Replays a serve script against `svc`: `job` lines submit against the
+// newest epoch and `wait` drains in-flight jobs. With `mutations` (serve
+// mode), `add`/`remove` stage a delta, `commit` publishes it as a new epoch,
+// and every submission is echoed. Without it (ingest mode's concurrent query
+// load) the trace is the snapshot store's single writer, so any other line
+// is rejected. A bad line exits 2 naming `file:line`.
+int replay_script(const Options& o, service::Service& svc, bool mutations) {
   std::ifstream in(o.serve);
   if (!in) {
     std::fprintf(stderr, "cannot open workload script '%s'\n", o.serve.c_str());
     return 2;
   }
-
-  service::Service svc(std::move(edges), service_config(o));
-
   core::TopologyDelta delta;
   std::string line;
   std::size_t lineno = 0;
@@ -583,7 +582,8 @@ int run_serve(const Options& o, graph::EdgeList edges) {
     if (cmd == "job") {
       service::JobSpec spec;
       if (const std::string why = parse_job(ss, o, spec); !why.empty()) return bad(why);
-      const auto sub = svc.submit(spec);
+      const auto sub = svc.submit(spec);  // under --ingest a rejection is load-shedding
+      if (!mutations) continue;
       if (sub.accepted) {
         std::printf("submitted job #%llu: %s/%s for %s (epoch %llu)\n",
                     static_cast<unsigned long long>(sub.id), algo::token(spec.engine),
@@ -593,6 +593,10 @@ int run_serve(const Options& o, graph::EdgeList edges) {
         std::printf("rejected %s/%s for %s: %s\n", algo::token(spec.engine),
                     algo::token(spec.algo), spec.tenant.c_str(), sub.reason.c_str());
       }
+    } else if (cmd == "wait") {
+      svc.wait_all();
+    } else if (!mutations) {
+      return bad("only job/wait allowed under --ingest (mutations come from the trace)");
     } else if (cmd == "add") {
       VertexId u = 0, v = 0;
       double w = 1.0;
@@ -611,8 +615,6 @@ int run_serve(const Options& o, graph::EdgeList edges) {
       std::printf("committed epoch %llu (%zu mutations, built in %.3fs)\n",
                   static_cast<unsigned long long>(epoch), staged,
                   svc.snapshots().stats().last_build_s);
-    } else if (cmd == "wait") {
-      svc.wait_all();
     } else {
       return bad("unknown workload command");
     }
@@ -621,48 +623,20 @@ int run_serve(const Options& o, graph::EdgeList edges) {
     std::fprintf(stderr, "warning: %zu staged mutations never committed\n",
                  delta.size());
   }
+  return 0;
+}
+
+// Serve mode: replays the script against a fresh service, then prints one
+// metrics::job_summary line per job and the service summary.
+int run_serve(const Options& o, graph::EdgeList edges) {
+  service::Service svc(std::move(edges), service_config(o));
+  if (const int rc = replay_script(o, svc, /*mutations=*/true); rc != 0) return rc;
   svc.wait_all();
   for (const auto& js : svc.scheduler().all_stats()) {
     std::printf("%s\n", metrics::job_summary(js).c_str());
   }
   std::printf("%s\n", svc.summary().c_str());
   svc.shutdown();
-  return 0;
-}
-
-// Replays only the job/wait lines of a serve script — the concurrent query
-// load half of ingest mode. Mutations must come from the trace (the snapshot
-// store is single-writer), so add/remove/commit lines are rejected.
-int replay_query_load(const Options& o, service::Service& svc) {
-  std::ifstream in(o.serve);
-  if (!in) {
-    std::fprintf(stderr, "cannot open workload script '%s'\n", o.serve.c_str());
-    return 2;
-  }
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::istringstream ss(line);
-    std::string cmd;
-    if (!(ss >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "job") {
-      service::JobSpec spec;
-      if (const std::string why = parse_job(ss, o, spec); !why.empty()) {
-        std::fprintf(stderr, "%s:%zu: %s\n", o.serve.c_str(), lineno, why.c_str());
-        return 2;
-      }
-      (void)svc.submit(spec);  // rejection (queue full) is valid load-shedding
-    } else if (cmd == "wait") {
-      svc.wait_all();
-    } else {
-      std::fprintf(stderr,
-                   "%s:%zu: only job/wait allowed under --ingest "
-                   "(mutations come from the trace)\n",
-                   o.serve.c_str(), lineno);
-      return 2;
-    }
-  }
   return 0;
 }
 
@@ -819,7 +793,7 @@ int run_ingest(const Options& o, graph::EdgeList edges) {
   Thread load;
   std::atomic<int> load_rc{0};
   if (!o.serve.empty()) {
-    load = Thread([&] { load_rc = replay_query_load(o, svc); });
+    load = Thread([&] { load_rc = replay_script(o, svc, /*mutations=*/false); });
   }
   for (const ingest::MutationOp& op : ops) ingestor.offer(op);
   ingestor.flush();
