@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cyclops/common/args.hpp"
@@ -79,99 +80,57 @@ sim::FaultPlan crash_plan(Superstep crash_at, double detection_us) {
   return plan;
 }
 
-template <typename MakeEngine>
-Row run_cell_recovery(const char* section, const algo::Dataset& d,
-                      const char* engine_label, const runtime::RecoveryOptions& opts,
-                      MakeEngine&& make_engine) {
-  auto outcome = runtime::run_with_recovery(std::forward<MakeEngine>(make_engine), opts);
-  Row row;
-  row.section = section;
-  row.dataset = d.name;
-  row.engine = engine_label;
-  row.mode = runtime::checkpoint_mode_name(opts.mode);
-  row.recovery = runtime::recovery_mode_name(opts.recovery);
-  row.rec = outcome.recovery;
-  row.total_s = outcome.run.total_time_s() + outcome.recovery.modeled_checkpoint_s +
-                outcome.recovery.modeled_recovery_s;
-  row.supersteps = outcome.run.supersteps.size();
-  return row;
-}
-
-runtime::RecoveryOptions rollback_opts(runtime::CheckpointMode mode) {
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = kCheckpointEvery;
-  opts.mode = mode;
-  return opts;
-}
-
-Row run_hama(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts) {
-  algo::PageRankBsp prog;
-  prog.epsilon = kEpsilon;
-  bsp::Config cfg;
-  cfg.topo = sim::Topology{kMachines, opts.workers / kMachines};
-  cfg.max_supersteps = kMaxSupersteps;
-  cfg.faults = std::make_shared<sim::FaultInjector>(
-      crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
-  const auto part = make_edge_cut(g, opts, opts.workers);
-  return run_cell_recovery(
-      "checkpoint", d, "Hama", rollback_opts(runtime::CheckpointMode::kHeavyweight),
-      [&] { return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, prog, cfg); });
-}
-
-Row run_cyclops(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts,
-                runtime::CheckpointMode mode) {
-  algo::PageRankCyclops prog;
-  prog.epsilon = kEpsilon;
-  core::Config cfg = core::Config::cyclops(kMachines, opts.workers / kMachines);
-  cfg.max_supersteps = kMaxSupersteps;
-  cfg.faults = std::make_shared<sim::FaultInjector>(
-      crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
-  const auto part = make_edge_cut(g, opts, cfg.topo.total_workers());
-  return run_cell_recovery("checkpoint", d, "Cyclops", rollback_opts(mode), [&] {
-    return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, prog, cfg);
-  });
-}
-
-Row run_powergraph(const algo::Dataset& d, const graph::Csr& g) {
-  algo::PageRankGas prog;
-  prog.num_vertices = g.num_vertices();
-  prog.epsilon = kEpsilon;
-  gas::Config cfg;
-  cfg.topo = sim::Topology{kMachines, 1};
-  cfg.max_iterations = kMaxSupersteps;
-  cfg.faults = std::make_shared<sim::FaultInjector>(
-      crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us));
-  const auto vcut = partition::RandomVertexCut{}.partition(g, kMachines);
-  return run_cell_recovery(
-      "checkpoint", d, "PowerGraph", rollback_opts(runtime::CheckpointMode::kLightweight),
-      [&] {
-        return std::make_unique<gas::Engine<algo::PageRankGas>>(g, vcut, prog, cfg);
+/// One PageRank cell through the job catalog: `kind` on kMachines ×
+/// workers/kMachines (PowerGraph one partition per machine), crashing as
+/// `plan` says and recovering as `ropts` says — for log-based modes with a
+/// message log shared between the fabric and the recovery coordinator.
+Row run_recovery_cell(const char* section, const algo::Dataset& d, const graph::Csr& g,
+                      const RunOptions& opts, algo::EngineKind kind, const sim::FaultPlan& plan,
+                      const runtime::RecoveryOptions& ropts) {
+  const algo::ClusterShape shape{.machines = kMachines,
+                                 .workers_per_machine = opts.workers / kMachines,
+                                 .max_supersteps = kMaxSupersteps};
+  return algo::with_job(
+      g, algo::Algo::kPageRank, kind, {.epsilon = kEpsilon}, shape,
+      [&]<typename Engine>(std::type_identity<Engine>, const auto& prog, auto cfg) {
+        cfg.faults = std::make_shared<sim::FaultInjector>(plan);
+        if (ropts.recovery != runtime::RecoveryMode::kRollback) {
+          cfg.message_log = std::make_shared<sim::MessageLog>();
+        }
+        const auto part = make_partition<Engine>(g, opts, cfg.topo.total_workers());
+        auto outcome = runtime::run_with_recovery(
+            [&] { return std::make_unique<Engine>(g, part, prog, cfg); }, ropts);
+        Row row;
+        row.section = section;
+        row.dataset = d.name;
+        row.engine = algo::label(kind);
+        row.mode = runtime::checkpoint_mode_name(ropts.mode);
+        row.recovery = runtime::recovery_mode_name(ropts.recovery);
+        row.rec = outcome.recovery;
+        row.total_s = outcome.run.total_time_s() + outcome.recovery.modeled_checkpoint_s +
+                      outcome.recovery.modeled_recovery_s;
+        row.supersteps = outcome.run.supersteps.size();
+        return row;
       });
 }
 
+/// A checkpoint-cost cell: rollback recovery from the crash at kCrashAt.
+Row run_checkpoint_cell(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts,
+                        algo::EngineKind kind, runtime::CheckpointMode mode) {
+  return run_recovery_cell("checkpoint", d, g, opts, kind,
+                           crash_plan(kCrashAt, sim::FaultPlan{}.detection_timeout_us),
+                           {.checkpoint_every = kCheckpointEvery, .mode = mode});
+}
+
 /// One recovery-mode cell: Cyclops, lightweight checkpoints, the aggressive
-/// detector, and — for log-based modes — a message log shared between the
-/// fabric and the recovery coordinator.
+/// detector.
 Row run_cyclops_mode(const algo::Dataset& d, const graph::Csr& g, const RunOptions& opts,
                      runtime::RecoveryMode recovery) {
-  algo::PageRankCyclops prog;
-  prog.epsilon = kEpsilon;
-  core::Config cfg = core::Config::cyclops(kMachines, opts.workers / kMachines);
-  cfg.max_supersteps = kMaxSupersteps;
-  cfg.faults = std::make_shared<sim::FaultInjector>(
-      crash_plan(kModeCrashAt, kModeDetectionUs));
-
-  runtime::RecoveryOptions ropts;
-  ropts.checkpoint_every = kModeCheckpointEvery;
-  ropts.mode = runtime::CheckpointMode::kLightweight;
-  ropts.recovery = recovery;
-  if (recovery != runtime::RecoveryMode::kRollback) {
-    cfg.message_log = std::make_shared<sim::MessageLog>();
-  }
-  const auto part = make_edge_cut(g, opts, cfg.topo.total_workers());
-  return run_cell_recovery("recovery", d, "Cyclops", ropts, [&] {
-    return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, prog, cfg);
-  });
+  return run_recovery_cell("recovery", d, g, opts, algo::EngineKind::kCyclops,
+                           crash_plan(kModeCrashAt, kModeDetectionUs),
+                           {.checkpoint_every = kModeCheckpointEvery,
+                            .mode = runtime::CheckpointMode::kLightweight,
+                            .recovery = recovery});
 }
 
 // ------------------------------------------------------------------- gate
@@ -258,10 +217,15 @@ int main(int argc, char** argv) {
                     "recover(s)", "speedup"});
   for (const auto& d : datasets) {
     const graph::Csr g = graph::Csr::build(d.edges);
-    const Row hama = run_hama(d, g, opts);
-    const Row cy_light = run_cyclops(d, g, opts, runtime::CheckpointMode::kLightweight);
-    const Row cy_heavy = run_cyclops(d, g, opts, runtime::CheckpointMode::kHeavyweight);
-    const Row pg = run_powergraph(d, g);
+    using algo::EngineKind;
+    using runtime::CheckpointMode;
+    const Row hama =
+        run_checkpoint_cell(d, g, opts, EngineKind::kHama, CheckpointMode::kHeavyweight);
+    const Row cy_light =
+        run_checkpoint_cell(d, g, opts, EngineKind::kCyclops, CheckpointMode::kLightweight);
+    const Row cy_heavy =
+        run_checkpoint_cell(d, g, opts, EngineKind::kCyclops, CheckpointMode::kHeavyweight);
+    const Row pg = run_checkpoint_cell(d, g, opts, EngineKind::kGas, CheckpointMode::kLightweight);
     // The §3.6 claim: a lightweight Cyclops checkpoint (masters only, replicas
     // regenerate) is strictly smaller than what BSP must persist (vertex
     // state + every pending in-queue message).

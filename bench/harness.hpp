@@ -52,15 +52,21 @@ struct CellResult {
   }
 };
 
-inline partition::EdgeCutPartition make_edge_cut(const graph::GraphStore& g,
-                                                 const RunOptions& opts,
-                                                 WorkerId parts) {
-  if (opts.multilevel) {
+/// The partition `Engine` runs on with `parts` parts: PowerGraph takes a
+/// vertex cut (greedy when opts.multilevel, else random), the rest an edge
+/// cut (Metis-like when opts.multilevel, else hash).
+template <typename Engine>
+auto make_partition(const graph::GraphStore& g, const RunOptions& opts, WorkerId parts) {
+  if constexpr (algo::kVertexCut<Engine>) {
+    return opts.multilevel ? partition::GreedyVertexCut{kPartitionSeed}.partition(g, parts)
+                           : partition::RandomVertexCut{}.partition(g, parts);
+  } else if (opts.multilevel) {
     partition::MultilevelConfig cfg;
     cfg.seed = kPartitionSeed;
     return partition::MultilevelPartitioner{cfg}.partition(g, parts);
+  } else {
+    return partition::HashPartitioner{}.partition(g, parts);
   }
-  return partition::HashPartitioner{}.partition(g, parts);
 }
 
 /// Runs the dataset's designated workload (Table 1 mapping) on one engine.
@@ -95,17 +101,7 @@ inline CellResult run_cell(const algo::Dataset& d, const graph::GraphStore& g,
   return algo::with_job(
       g, d.workload, kind, params, shape,
       [&]<typename Engine>(std::type_identity<Engine>, const auto& prog, const auto& cfg) {
-        const WorkerId parts = cfg.topo.total_workers();
-        const auto part = [&] {
-          if constexpr (algo::kVertexCut<Engine>) {
-            return opts.multilevel
-                       ? partition::GreedyVertexCut{kPartitionSeed}.partition(g, parts)
-                       : partition::RandomVertexCut{}.partition(g, parts);
-          } else {
-            return make_edge_cut(g, opts, parts);
-          }
-        }();
-        Engine engine(g, part, prog, cfg);
+        Engine engine(g, make_partition<Engine>(g, opts, cfg.topo.total_workers()), prog, cfg);
         CellResult r;
         r.stats = engine.run();
         r.memory = engine.memory_report();

@@ -88,8 +88,8 @@ enum class RecoveryMode : std::uint8_t { kRollback = 0, kLog = 1, kLogParallel =
 }
 
 /// The fault injector and the message log come from the engines themselves
-/// (EngineConfig::faults / message_log); a log-based mode without a log in
-/// the engine's Config degrades to rollback accounting.
+/// (EngineConfig::faults / message_log); a log-based mode requires a log in
+/// the engine's Config (checked), and rollback needs none.
 struct RecoveryOptions {
   Superstep checkpoint_every = 0;  ///< 0 = no periodic checkpoints
   CheckpointMode mode = CheckpointMode::kLightweight;
@@ -122,7 +122,8 @@ auto run_with_recovery(MakeEngine&& make_engine, const RecoveryOptions& opts,
   engine->set_checkpoint_manager(&manager);
   sim::FaultInjector* const faults = engine->config().faults.get();
   sim::MessageLog* const log = engine->config().message_log.get();
-  const bool localized = opts.recovery != RecoveryMode::kRollback && log != nullptr;
+  const bool localized = opts.recovery != RecoveryMode::kRollback;
+  CYCLOPS_CHECK(!localized || log != nullptr);
 
   RecoveryOutcome<Engine> out;
   auto fresh = [&] {

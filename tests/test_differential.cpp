@@ -1,16 +1,21 @@
 // The differential harness: one cell runner over the job catalog. A cell is
 // an (algorithm, engine) pair from algo::with_job plus the axes that must not
-// change its result — the graph store, the host thread count, the schedule —
-// and the knobs that legitimately shape its run (cluster shape, partitioner,
-// combiner, the force-all-active ablation). Every cell's values are checked
-// against the sequential reference, and every cell's values and wire digest
-// are checked bit for bit against the memory-store, one-thread,
-// native-schedule cell.
+// change its result — the graph store, the host thread count, the schedule,
+// a crash the run recovers from — and the knobs that legitimately shape its
+// run (cluster shape, partitioner, combiner, the force-all-active ablation).
+// Every cell's values are checked against the sequential reference, and
+// every cell's values and wire digest are checked bit for bit against the
+// memory-store, one-thread, native-schedule cell. A faulty cell is checked
+// against its fault-free twin: §3.6's claim, held strictly — a recovered run
+// ends with the twin's values bit for bit, and log-based recovery also with
+// its wire digest.
 //
-// Two kinds of tests use it: the graph-zoo sweep (every supported pair on
-// every adversarial entry, every store, 1/2/4 threads and several schedules)
-// and the named cases that predate the harness, each a harness call on its
-// original graph, shape, partitioner, cap and tolerance.
+// Three kinds of tests use it: the graph-zoo sweep (every supported pair on
+// every adversarial entry, every store, 1/2/4 threads and several
+// schedules), the recovery sweep (every supported pair under every recovery
+// mode, checkpoint mode, checkpoint cadence and 1/4 threads) and the named
+// cases that predate the harness, each a harness call on its original graph,
+// shape, partitioner, cap, crash points and recovery settings.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,6 +39,9 @@
 #include "cyclops/graph/generators.hpp"
 #include "cyclops/partition/partition.hpp"
 #include "cyclops/partition/vertex_cut.hpp"
+#include "cyclops/runtime/recovery.hpp"
+#include "cyclops/sim/fault.hpp"
+#include "cyclops/sim/message_log.hpp"
 #include "cyclops/sim/sched.hpp"
 #include "catalog_job.hpp"
 #include "test_util.hpp"
@@ -41,8 +50,21 @@ namespace cyclops::algo {
 namespace {
 
 using graph::StoreKind;
+using runtime::CheckpointMode;
+using runtime::RecoveryMode;
 
 // ---- the cell runner --------------------------------------------------------
+
+/// A crash the cell recovers from through runtime::run_with_recovery, and how
+/// it checkpoints and recovers.
+struct Fault {
+  sim::FaultPlan plan;
+  Superstep checkpoint_every = 0;  ///< 0 = none: a crash replays from superstep 0
+  CheckpointMode mode = CheckpointMode::kLightweight;
+  RecoveryMode recovery = RecoveryMode::kRollback;
+  bool spill_log = false;                     ///< log modes: spill-backed MessageLog
+  runtime::CheckpointStore* store = nullptr;  ///< none = run_with_recovery's memory store
+};
 
 struct Cell {
   Algo algo = Algo::kPageRank;
@@ -56,16 +78,19 @@ struct Cell {
   bool greedy_cut = false;            ///< gas: GreedyVertexCut instead of RandomVertexCut
   bool use_combiner = false;          ///< Hama only
   bool force_all_active = false;      ///< Cyclops only
+  std::optional<Fault> fault = {};    ///< none = a fault-free run
 };
 
 /// What a run produced: values flattened to doubles (padding-free), the
-/// fabric's wire digest, the superstep count and the modeled run time.
+/// fabric's wire digest, the superstep count, the modeled run time (of the
+/// last incarnation, for a faulty cell) and the recovery's accounting.
 struct Outcome {
   std::vector<double> values;
   std::uint64_t wire = 0;
   std::size_t supersteps = 0;
   double modeled_s = 0;
   bool replicas_consistent = true;  ///< core engines: replicas equal their masters
+  metrics::RecoveryStats recovery;
 };
 
 void flatten(double v, std::vector<double>& out) { out.push_back(v); }
@@ -78,18 +103,25 @@ void flatten(const PageRankGas::Value& v, std::vector<double>& out) {
   out.push_back(v.out_degree);
 }
 
+/// `stats` covers only the last incarnation's supersteps, so the superstep
+/// count is read off the engine's counter.
 template <typename Engine>
-Outcome run(Engine& engine) {
-  const metrics::RunStats stats = engine.run();
+Outcome observe(const Engine& engine, const metrics::RunStats& stats) {
   Outcome o;
   for (const auto& v : engine.values()) flatten(v, o.values);
   o.wire = engine.fabric().wire_digest();
-  o.supersteps = stats.supersteps.size();
+  o.supersteps = engine.superstep();
   o.modeled_s = stats.total_time_s();
   if constexpr (requires { engine.replicas_consistent(); }) {
     o.replicas_consistent = engine.replicas_consistent();
   }
   return o;
+}
+
+template <typename Engine>
+Outcome run(Engine& engine) {
+  const metrics::RunStats stats = engine.run();
+  return observe(engine, stats);
 }
 
 /// The four store backends over one edge list. The delta store is a
@@ -131,7 +163,9 @@ constexpr std::array kStores = {StoreKind::kMemory, StoreKind::kCompact, StoreKi
                                 StoreKind::kDelta};
 
 /// Runs `c` through with_job on its store, with the cell's host threads,
-/// schedule and Config tweaks set on the Config with_job returns.
+/// schedule and Config tweaks set on the Config with_job returns. A faulty
+/// cell shares one FaultInjector — and, in the log modes, one MessageLog —
+/// across every incarnation run_with_recovery builds.
 Outcome run_cell(const Stores& stores, const Cell& c) {
   const graph::GraphStore& g = stores[c.store];
   return with_job(
@@ -144,38 +178,59 @@ Outcome run_cell(const Stores& stores, const Cell& c) {
           cfg.force_all_active = c.force_all_active;
         }
         const WorkerId parts = cfg.topo.total_workers();
-        if constexpr (kVertexCut<Engine>) {
-          Engine engine(g,
-                        c.greedy_cut ? partition::GreedyVertexCut{}.partition(g, parts)
-                                     : partition::RandomVertexCut{}.partition(g, parts),
-                        prog, cfg);
-          return run(engine);
-        } else {
-          Engine engine(g, partition::make_edge_cut_partitioner(c.edge_cut)->partition(g, parts),
-                        prog, cfg);
+        const auto part = [&] {
+          if constexpr (kVertexCut<Engine>) {
+            return c.greedy_cut ? partition::GreedyVertexCut{}.partition(g, parts)
+                                : partition::RandomVertexCut{}.partition(g, parts);
+          } else {
+            return partition::make_edge_cut_partitioner(c.edge_cut)->partition(g, parts);
+          }
+        }();
+        if (!c.fault) {
+          Engine engine(g, part, prog, cfg);
           return run(engine);
         }
+        const Fault& f = *c.fault;
+        cfg.faults = std::make_shared<sim::FaultInjector>(f.plan);
+        if (f.recovery != RecoveryMode::kRollback) {
+          cfg.message_log = f.spill_log ? std::make_shared<sim::MessageLog>(
+                                              sim::LogStoreKind::kSpill, ::testing::TempDir())
+                                        : std::make_shared<sim::MessageLog>();
+        }
+        auto r = runtime::run_with_recovery(
+            [&] { return std::make_unique<Engine>(g, part, prog, cfg); },
+            {.checkpoint_every = f.checkpoint_every, .mode = f.mode, .recovery = f.recovery},
+            f.store);
+        Outcome o = observe(*r.engine, r.run);
+        o.recovery = r.recovery;
+        return o;
       });
 }
 
 std::string describe(const Cell& c) {
   std::string s = std::string(token(c.engine)) + "/" + token(c.algo) + " store=" +
                   std::string(graph::store_kind_name(c.store)) +
-                  " threads=" + std::to_string(c.pool_threads);
-  return s + " seed=" + (c.seed ? std::to_string(*c.seed) : "native");
+                  " threads=" + std::to_string(c.pool_threads) +
+                  " seed=" + (c.seed ? std::to_string(*c.seed) : "native");
+  if (!c.fault) return s;
+  const Fault& f = *c.fault;
+  return s + " recovery=" + runtime::recovery_mode_name(f.recovery) +
+         " checkpoint=" + runtime::checkpoint_mode_name(f.mode) + "/" +
+         std::to_string(f.checkpoint_every) + " crash@" + std::to_string(f.plan.crash_at);
 }
 
 // ---- checks -----------------------------------------------------------------
 
 /// How far a cell may sit from the sequential reference. SSSP, CC and CD are
 /// exact: min-plus relaxation and label votes reach the same doubles and
-/// labels in any order. PageRank stops once no rank moves by more than
-/// ε = 1e-12 per superstep, which leaves it within 1e-8 of the reference's
-/// fixpoint. ALS sums each neighborhood in the engine's delivery order, not
-/// the reference's in-edge order, so rounding differs: 1e-7.
-double tolerance(Algo a) {
-  if (a == Algo::kPageRank) return 1e-8;
-  if (a == Algo::kAls) return 1e-7;
+/// labels in any order. PageRank stops once no rank moves by more than ε per
+/// superstep, which leaves it within 1e4·ε of the reference's fixpoint (1e-8
+/// at ε = 1e-12; the gap seen at ε = 1e-10 is about 1e2·ε). ALS sums each
+/// neighborhood in the engine's delivery order, not the reference's in-edge
+/// order, so rounding differs: 1e-7.
+double tolerance(const Cell& c) {
+  if (c.algo == Algo::kPageRank) return 1e4 * c.params.epsilon;
+  if (c.algo == Algo::kAls) return 1e-7;
   return 0;
 }
 
@@ -233,14 +288,17 @@ void expect_near(const std::vector<double>& got, const std::vector<double>& want
 
 void expect_matches_reference(const graph::GraphStore& g, const Cell& c, const Outcome& o) {
   EXPECT_TRUE(o.replicas_consistent) << describe(c);
-  expect_near(o.values, reference(g, c, o.supersteps), g.num_vertices(), tolerance(c.algo),
+  expect_near(o.values, reference(g, c, o.supersteps), g.num_vertices(), tolerance(c),
               describe(c) + " vs reference");
 }
 
 /// Values compared as bytes: a reordered accumulation passes EXPECT_NEAR but
 /// not this.
-void expect_identical(const Outcome& want, const Outcome& got, const std::string& what) {
-  EXPECT_EQ(got.wire, want.wire) << "wire digest diverged: " << what;
+void expect_identical(const Outcome& want, const Outcome& got, const std::string& what,
+                      bool wire = true) {
+  if (wire) {
+    EXPECT_EQ(got.wire, want.wire) << "wire digest diverged: " << what;
+  }
   EXPECT_EQ(got.supersteps, want.supersteps) << what;
   ASSERT_EQ(got.values.size(), want.values.size()) << what;
   EXPECT_EQ(0, std::memcmp(got.values.data(), want.values.data(),
@@ -250,6 +308,31 @@ void expect_identical(const Outcome& want, const Outcome& got, const std::string
 
 /// The digest of a fabric that never delivered a package (FNV-1a's basis).
 constexpr std::uint64_t kEmptyWire = 0xcbf29ce484222325ULL;
+
+std::uint32_t crashes(const sim::FaultPlan& p) {
+  return (p.crash_at != sim::kNeverCrash ? 1u : 0u) + (p.crash2_at != sim::kNeverCrash ? 1u : 0u);
+}
+
+/// A faulty cell against its fault-free twin: every crash fired and was
+/// recovered, and the run ended where the twin did, bit for bit. A rollback
+/// incarnation's fabric restarts its wire digest, so only the log modes,
+/// which seed it across incarnations and verify every replayed package
+/// against the log, are held to the twin's digest.
+void expect_recovered(const Outcome& twin, const Outcome& got, const Cell& c) {
+  const std::string what = describe(c);
+  const metrics::RecoveryStats& r = got.recovery;
+  EXPECT_GE(r.faults_detected, 1u) << "the crash never fired: " << what;
+  EXPECT_EQ(r.recoveries, crashes(c.fault->plan)) << what;
+  EXPECT_TRUE(got.replicas_consistent) << what;
+  const bool logged = c.fault->recovery != RecoveryMode::kRollback;
+  expect_identical(twin, got, what, logged);
+  if (!logged) return;
+  EXPECT_EQ(r.replay_log_mismatches, 0u) << what;
+  EXPECT_GT(r.log_packages, 0u) << what;
+  if (r.lost_supersteps > 0) {
+    EXPECT_GT(r.replay_verified_packages, 0u) << what;
+  }
+}
 
 // ---- the graph zoo ----------------------------------------------------------
 
@@ -400,6 +483,80 @@ INSTANTIATE_TEST_SUITE_P(Zoo, Differential, ::testing::ValuesIn(zoo_cases()),
                            const ZooCase& z = info.param;
                            return std::string(kZoo[z.entry].name) + "_" + token(z.engine) +
                                   "_" + token(z.algo);
+                         });
+
+// ---- the recovery sweep -----------------------------------------------------
+
+sim::FaultPlan crash(Superstep at, MachineId machine = 0) {
+  sim::FaultPlan plan;
+  plan.crash_at = at;
+  plan.crash_machine = machine;
+  return plan;
+}
+
+struct Pair {
+  Algo algo;
+  EngineKind engine;
+};
+
+std::vector<Pair> catalog_pairs() {
+  const graph::Csr g = graph::Csr::build(test::catalog_graph());
+  std::vector<Pair> pairs;
+  for (const Algo a : kAlgos) {
+    for (const EngineKind e : kEngines) {
+      if (unsupported(a, e, g, test::kCatalogParams).empty()) pairs.push_back({a, e});
+    }
+  }
+  return pairs;
+}
+
+class FaultAxis : public ::testing::TestWithParam<Pair> {};
+
+/// Every pair on 3 machines × 2 workers loses its last machine halfway
+/// through the twin's S supersteps and recovers under every recovery mode,
+/// checkpoint mode and cadence (every superstep, every ⌈S/3⌉, none — a
+/// replay from scratch), on 1 and 4 host threads.
+TEST_P(FaultAxis, EveryModeCadenceAndThreadCount) {
+  const auto [algo, engine] = GetParam();
+  const graph::EdgeList e = algo == Algo::kPageRank ? graph::gen::rmat(8, 1600, 2014)
+                            : algo == Algo::kAls    ? test::catalog_graph()
+                                                    : graph::gen::road_grid({14, 14}, 3);
+  const Stores stores(e);
+  // Label propagation never settles on the lattice, so CD runs to its cap.
+  Cell c{.algo = algo,
+         .engine = engine,
+         .params = algo == Algo::kAls ? test::kCatalogParams : JobParams{.epsilon = 1e-11},
+         .shape = {.machines = 3,
+                   .workers_per_machine = 2,
+                   .mt_threads = 2,
+                   .mt_receivers = 2,
+                   .max_supersteps = algo == Algo::kCd ? 40u : 400u}};
+  for (const std::size_t threads : {1, 4}) {
+    c.pool_threads = threads;
+    c.fault.reset();
+    const Outcome twin = run_cell(stores, c);
+    expect_matches_reference(stores[StoreKind::kMemory], c, twin);
+    const auto s = static_cast<Superstep>(twin.supersteps);
+    for (const RecoveryMode recovery :
+         {RecoveryMode::kRollback, RecoveryMode::kLog, RecoveryMode::kLogParallel}) {
+      for (const CheckpointMode mode :
+           {CheckpointMode::kLightweight, CheckpointMode::kHeavyweight}) {
+        for (const Superstep every : {Superstep{1}, (s + 2) / 3, Superstep{0}}) {
+          c.fault = Fault{.plan = crash(s / 2, c.shape.machines - 1),
+                          .checkpoint_every = every,
+                          .mode = mode,
+                          .recovery = recovery};
+          expect_recovered(twin, run_cell(stores, c), c);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Recovery, FaultAxis, ::testing::ValuesIn(catalog_pairs()),
+                         [](const ::testing::TestParamInfo<Pair>& info) {
+                           return std::string(token(info.param.engine)) + "_" +
+                                  token(info.param.algo);
                          });
 
 // ---- named cases ------------------------------------------------------------
@@ -661,7 +818,7 @@ TEST(EngineEquivalence, PageRankAgreesAcrossAllThreeEngines) {
   Cell c = cell(Algo::kPageRank, EngineKind::kHama, 4, 1, 300, pr(1e-12));
   const Outcome bsp = run_cell(stores, c);
   const VertexId n = stores[StoreKind::kMemory].num_vertices();
-  const double tol = tolerance(Algo::kPageRank);
+  const double tol = tolerance(c);
   c.engine = EngineKind::kCyclops;
   expect_near(run_cell(stores, c).values, bsp.values, n, tol, "cyclops vs bsp");
   c.engine = EngineKind::kGas;
@@ -776,6 +933,290 @@ TEST(Catalog, WithJobMatchesHandBuiltEngines) {
     expect_identical(want, got, describe(c));
     EXPECT_EQ(got.modeled_s, want.modeled_s) << describe(c);
   }
+}
+
+// ---- named recovery cases ---------------------------------------------------
+
+Cell with_fault(Cell c, const Fault& f) {
+  c.fault = f;
+  return c;
+}
+
+/// Runs `c` without its fault — the twin, checked against the reference —
+/// and with it, checks the faulty run against the twin and returns the
+/// faulty run's recovery accounting.
+metrics::RecoveryStats expect_recovers(const graph::EdgeList& e, const Cell& c) {
+  const Stores stores(e);
+  Cell twin_cell = c;
+  twin_cell.fault.reset();
+  const Outcome twin = run_cell(stores, twin_cell);
+  expect_matches_reference(stores[StoreKind::kMemory], twin_cell, twin);
+  const Outcome got = run_cell(stores, c);
+  expect_recovered(twin, got, c);
+  return got.recovery;
+}
+
+graph::EdgeList rmat_2014() { return graph::gen::rmat(8, 1600, 2014); }
+graph::EdgeList road() { return graph::gen::road_grid({14, 14}, 3); }
+
+TEST(AutoRecovery, BspPageRankRecoversFromCrash) {
+  const auto r = expect_recovers(
+      rmat_2014(), with_fault(cell(Algo::kPageRank, EngineKind::kHama, 4, 1, 200, pr(1e-11)),
+                              {.plan = crash(10, 2),
+                               .checkpoint_every = 3,
+                               .mode = CheckpointMode::kHeavyweight}));
+  // Checkpoints land at boundaries 3, 6, 9; the crash in superstep 10 loses
+  // exactly the one superstep past the newest snapshot.
+  EXPECT_EQ(r.lost_supersteps, 1u);
+  EXPECT_GT(r.checkpoints_taken, 0u);
+  EXPECT_GT(r.modeled_recovery_s, 0.0);
+}
+
+TEST(AutoRecovery, CyclopsPageRankRecoversFromCrash) {
+  const auto r = expect_recovers(
+      rmat_2014(), with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)),
+                              {.plan = crash(11, 0), .checkpoint_every = 4}));
+  EXPECT_EQ(r.lost_supersteps, 11u - 8u);  // rolled back to the checkpoint at 8
+}
+
+TEST(AutoRecovery, CyclopsSsspRecoversFromCrash) {
+  expect_recovers(road(), with_fault(cell(Algo::kSssp, EngineKind::kCyclops, 3, 1, 400),
+                                     {.plan = crash(7), .checkpoint_every = 5}));
+}
+
+TEST(AutoRecovery, BspSsspRecoversFromCrash) {
+  expect_recovers(road(), with_fault(cell(Algo::kSssp, EngineKind::kHama, 3, 1, 400),
+                                     {.plan = crash(6),
+                                      .checkpoint_every = 4,
+                                      .mode = CheckpointMode::kHeavyweight}));
+}
+
+TEST(AutoRecovery, GasPageRankRecoversFromCrash) {
+  expect_recovers(rmat_2014(),
+                  with_fault(cell(Algo::kPageRank, EngineKind::kGas, 4, 1, 200, pr(1e-11)),
+                             {.plan = crash(10), .checkpoint_every = 4}));
+}
+
+TEST(AutoRecovery, GasSsspRecoversFromCrash) {
+  expect_recovers(graph::gen::rmat(8, 1600, 99),
+                  with_fault(cell(Algo::kSssp, EngineKind::kGas, 3, 1, 200),
+                             {.plan = crash(3), .checkpoint_every = 2}));
+}
+
+TEST(AutoRecovery, CrashWithoutCheckpointReplaysFromScratch) {
+  const auto r = expect_recovers(
+      graph::gen::rmat(7, 600, 5),
+      with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 2, 1, 60, pr(1e-10)),
+                 {.plan = crash(5)}));
+  EXPECT_EQ(r.checkpoints_taken, 0u);
+  EXPECT_EQ(r.lost_supersteps, 5u);  // everything replayed
+}
+
+// An identical fault seed means an identical fault schedule: identical
+// RecoveryStats, field by field, and bit-identical values.
+TEST(Determinism, IdenticalSeedsIdenticalRecovery) {
+  sim::FaultPlan plan = crash(7, 1);
+  plan.seed = 1234;
+  plan.drop_rate = 0.1;
+  plan.corrupt_rate = 0.05;
+  const graph::EdgeList e = graph::gen::rmat(8, 1800, 33);
+  const Cell c = with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 80, pr(1e-10)),
+                            {.plan = plan, .checkpoint_every = 3});
+  const metrics::RecoveryStats a = expect_recovers(e, c);
+  const metrics::RecoveryStats b = expect_recovers(e, c);
+  EXPECT_GT(a.retransmissions, 0u);
+  // modeled_recovery_s prices the replayed window from the run's modeled
+  // per-superstep times, so like every other field it matches bit for bit.
+  const auto fields = [](const metrics::RecoveryStats& r) {
+    return std::tie(r.checkpoints_taken, r.checkpoint_bytes_written, r.last_checkpoint_bytes,
+                    r.modeled_checkpoint_s, r.faults_detected, r.recoveries,
+                    r.corrupt_checkpoints, r.lost_supersteps, r.modeled_recovery_s,
+                    r.log_bytes, r.log_packages, r.replay_verified_packages,
+                    r.replay_log_mismatches, r.replay_window_s, r.dropped_packages,
+                    r.corrupted_packages, r.retransmissions, r.modeled_fault_overhead_s);
+  };
+  EXPECT_EQ(fields(a), fields(b));
+}
+
+/// Crash point k: a checkpoint every k supersteps and a crash in superstep
+/// k, the first one past the checkpoint at boundary k, which the replacement
+/// restores, losing nothing, for any k.
+class CrashRecovery : public ::testing::TestWithParam<Superstep> {};
+
+void expect_resumes_at_checkpoint(const graph::EdgeList& e, Cell c, Superstep k,
+                                  CheckpointMode mode = CheckpointMode::kLightweight) {
+  c.fault = Fault{.plan = crash(k), .checkpoint_every = k, .mode = mode};
+  EXPECT_EQ(expect_recovers(e, c).lost_supersteps, 0u);
+}
+
+TEST_P(CrashRecovery, BspPageRankSurvivesCrash) {
+  expect_resumes_at_checkpoint(rmat_2014(),
+                             cell(Algo::kPageRank, EngineKind::kHama, 4, 1, 200, pr(1e-11)),
+                             GetParam(), CheckpointMode::kHeavyweight);
+}
+
+TEST_P(CrashRecovery, CyclopsPageRankSurvivesCrash) {
+  expect_resumes_at_checkpoint(rmat_2014(),
+                             cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)),
+                             GetParam());
+}
+
+TEST_P(CrashRecovery, CyclopsSsspSurvivesCrash) {
+  expect_resumes_at_checkpoint(road(), cell(Algo::kSssp, EngineKind::kCyclops, 3, 1, 400),
+                             GetParam());
+}
+
+TEST_P(CrashRecovery, GasPageRankSurvivesCrash) {
+  expect_resumes_at_checkpoint(rmat_2014(),
+                             cell(Algo::kPageRank, EngineKind::kGas, 4, 1, 200, pr(1e-11)),
+                             GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(CrashPoints, CrashRecovery,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u));
+
+// Heavyweight snapshots (full replica state) restore as exactly as
+// lightweight ones; §3.6's point is only that they are bigger.
+TEST(Checkpoint, HeavyweightModesRoundTrip) {
+  const graph::EdgeList e = graph::gen::rmat(8, 1600, 31);
+  Cell c = with_fault(
+      cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)),
+      {.plan = crash(7), .checkpoint_every = 6, .mode = CheckpointMode::kHeavyweight});
+  const std::uint64_t heavy = expect_recovers(e, c).last_checkpoint_bytes;
+  c.fault->mode = CheckpointMode::kLightweight;
+  EXPECT_LT(expect_recovers(e, c).last_checkpoint_bytes, heavy);
+}
+
+// Log-based recovery: the replayed traffic must match the log byte for byte
+// and leave the fault-free wire digest.
+
+Fault logged(sim::FaultPlan plan, Superstep every, RecoveryMode recovery = RecoveryMode::kLog,
+             CheckpointMode mode = CheckpointMode::kLightweight) {
+  return {.plan = plan, .checkpoint_every = every, .mode = mode, .recovery = recovery};
+}
+
+TEST(LogRecovery, CyclopsPageRankReplayIsBitFaithful) {
+  expect_recovers(rmat_2014(),
+                  with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)),
+                             logged(crash(10, 2), 3)));
+}
+
+TEST(LogRecovery, CyclopsSsspParallelReplayIsBitFaithful) {
+  expect_recovers(road(), with_fault(cell(Algo::kSssp, EngineKind::kCyclops, 3, 1, 400),
+                                     logged(crash(7, 1), 4, RecoveryMode::kLogParallel)));
+}
+
+// A lattice has a large diameter, so min-label propagation runs for ~28
+// supersteps: room for a mid-run crash with a non-empty window.
+TEST(LogRecovery, CyclopsCcReplayIsBitFaithful) {
+  expect_recovers(road(), with_fault(cell(Algo::kCc, EngineKind::kCyclops, 4, 1, 100),
+                                     logged(crash(7, 3), 3)));
+}
+
+// CyclopsMT sends one package per compute thread between each worker pair,
+// so 4 threads put 4 same-(from, to) packages in each exchange: per-lane log
+// keys keep them apart (MessageLog.LanesWithSameEndpointsAreDistinctEntries).
+TEST(LogRecovery, CyclopsMtPageRankReplayIsBitFaithful) {
+  Cell c = cell(Algo::kPageRank, EngineKind::kCyclopsMT, 4, 1, 200, pr(1e-11));
+  c.shape.mt_threads = 4;
+  c.shape.mt_receivers = 2;
+  expect_recovers(rmat_2014(), with_fault(c, logged(crash(10, 2), 3)));
+}
+
+TEST(LogRecovery, BspPageRankReplayIsBitFaithful) {
+  expect_recovers(rmat_2014(),
+                  with_fault(cell(Algo::kPageRank, EngineKind::kHama, 4, 1, 200, pr(1e-11)),
+                             logged(crash(10, 2), 3, RecoveryMode::kLog,
+                                    CheckpointMode::kHeavyweight)));
+}
+
+TEST(LogRecovery, BspSsspParallelReplayIsBitFaithful) {
+  expect_recovers(road(), with_fault(cell(Algo::kSssp, EngineKind::kHama, 3, 1, 400),
+                                     logged(crash(6, 0), 4, RecoveryMode::kLogParallel,
+                                            CheckpointMode::kHeavyweight)));
+}
+
+TEST(LogRecovery, BspCcReplayIsBitFaithful) {
+  expect_recovers(road(), with_fault(cell(Algo::kCc, EngineKind::kHama, 4, 1, 100),
+                                     logged(crash(7, 1), 3, RecoveryMode::kLog,
+                                            CheckpointMode::kHeavyweight)));
+}
+
+TEST(LogRecovery, GasPageRankReplayIsBitFaithful) {
+  expect_recovers(rmat_2014(),
+                  with_fault(cell(Algo::kPageRank, EngineKind::kGas, 4, 1, 200, pr(1e-11)),
+                             logged(crash(10, 2), 4)));
+}
+
+TEST(LogRecovery, GasSsspReplayIsBitFaithful) {
+  expect_recovers(graph::gen::rmat(8, 1600, 99),
+                  with_fault(cell(Algo::kSssp, EngineKind::kGas, 3, 1, 200),
+                             logged(crash(3, 1), 2, RecoveryMode::kLogParallel)));
+}
+
+TEST(LogRecovery, SpillBackedLogIsBitFaithful) {
+  Fault f = logged(crash(10, 1), 3);  // checkpoints at 3, 6, 9: the window [9, 10) replays
+  f.spill_log = true;
+  expect_recovers(rmat_2014(),
+                  with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)), f));
+}
+
+/// Wraps MemoryCheckpointStore but hands back a bit-flipped sealed frame, so
+/// every restore attempt fails its CRC and recovery must fall back to 0.
+class CorruptingStore final : public runtime::CheckpointStore {
+ public:
+  void put(Superstep superstep, std::vector<std::uint8_t> sealed) override {
+    inner_.put(superstep, std::move(sealed));
+  }
+  [[nodiscard]] std::optional<std::pair<Superstep, std::vector<std::uint8_t>>> latest()
+      const override {
+    auto snapshot = inner_.latest();
+    if (snapshot && !snapshot->second.empty()) {
+      snapshot->second[snapshot->second.size() / 2] ^= 0x20;
+    }
+    return snapshot;
+  }
+
+ private:
+  runtime::MemoryCheckpointStore inner_;
+};
+
+TEST(LogRecovery, CorruptCheckpointIsCountedAndReplayedFromScratch) {
+  CorruptingStore store;
+  Fault f = logged(crash(6, 1), 2);
+  f.store = &store;
+  const auto r = expect_recovers(
+      graph::gen::rmat(7, 600, 5),
+      with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 2, 1, 60, pr(1e-10)), f));
+  // The checkpoint at boundary 4 existed but was unusable: counted, and the
+  // whole prefix was replayed (verified against the log) instead.
+  EXPECT_EQ(r.corrupt_checkpoints, 1u);
+  EXPECT_EQ(r.lost_supersteps, 6u);
+}
+
+// Double faults: a second machine dies while the first replay window is
+// still the digest-suppression frontier, or after it closed.
+void expect_survives_double_fault(Superstep first_at, MachineId first, Superstep second_at,
+                                  MachineId second) {
+  sim::FaultPlan plan = crash(first_at, first);
+  plan.crash2_at = second_at;
+  plan.crash2_machine = second;
+  const auto r = expect_recovers(
+      rmat_2014(), with_fault(cell(Algo::kPageRank, EngineKind::kCyclops, 4, 1, 200, pr(1e-11)),
+                              logged(plan, 3)));
+  EXPECT_EQ(r.faults_detected, 2u);
+}
+
+// Machine 2 dies at superstep 10; the replacement resumes from 9 and machine
+// 3 dies at the very next barrier — inside the digest window the first
+// recovery armed (digest_covered_until must take the max, or the second
+// replay would fold the wire digest twice).
+TEST(LogRecovery, DoubleFaultDuringReplayStaysBitFaithful) {
+  expect_survives_double_fault(10, 2, 10, 3);
+}
+
+TEST(LogRecovery, DoubleFaultAfterReplayStaysBitFaithful) {
+  expect_survives_double_fault(10, 1, 13, 3);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Fault-injection fabric + automated recovery runtime tests: CRC32 known
-// answers, deterministic fault schedules (identical seed -> identical faults,
-// identical RecoveryStats, bit-identical results), absorbed wire faults
-// (drops/corruption cost time but never change results), straggler delay,
-// durable checkpoint stores, and fully automated crash recovery through
-// runtime::run_with_recovery for all three engines.
+// answers, deterministic fault schedules (identical seed -> identical
+// faults), absorbed wire faults (drops/corruption cost time but never change
+// results), straggler delay, durable checkpoint stores, and the recovery
+// loop's refusals: exhausted retries, an unshared injector, a log mode
+// without a log. Crash recovery itself is checked by the differential
+// harness's fault axis (test_differential.cpp).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -15,13 +15,10 @@
 
 #include "cyclops/graph/csr.hpp"
 #include "cyclops/algorithms/pagerank.hpp"
-#include "cyclops/algorithms/sssp.hpp"
 #include "cyclops/bsp/engine.hpp"
 #include "cyclops/common/crc32.hpp"
 #include "cyclops/core/engine.hpp"
-#include "cyclops/gas/engine.hpp"
 #include "cyclops/graph/generators.hpp"
-#include "cyclops/partition/vertex_cut.hpp"
 #include "cyclops/runtime/recovery.hpp"
 #include "test_util.hpp"
 
@@ -223,241 +220,9 @@ TEST(CheckpointStore, ManagerRejectsCorruptFrame) {
   EXPECT_THROW((void)manager.load_latest(), SerializeError);
 }
 
-// --- Automated crash recovery: no manual save/restore anywhere below. The
-// run_with_recovery loop checkpoints periodically, catches the injected
-// FaultError, rolls back, replays, and the final values are bit-identical to
-// a fault-free run. ---
-
-template <typename Values>
-void expect_bit_identical(const Values& got, const Values& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "vertex " << i;
-  }
-}
-
-TEST(AutoRecovery, BspPageRankRecoversFromCrash) {
-  const graph::Csr g = graph::Csr::build(graph::gen::rmat(8, 1600, 2014));
-  const auto part = test::hash_partition(g, 4);
-  algo::PageRankBsp pr;
-  pr.epsilon = 1e-11;
-  bsp::Config cfg = bsp::Config::workers(4);
-  cfg.max_supersteps = 200;
-
-  bsp::Engine<algo::PageRankBsp> clean(g, part, pr, cfg);
-  (void)clean.run();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 10;
-  plan.crash_machine = 2;
-  bsp::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 3;
-  opts.mode = runtime::CheckpointMode::kHeavyweight;
-  auto outcome = runtime::run_with_recovery(
-      [&] {
-        return std::make_unique<bsp::Engine<algo::PageRankBsp>>(g, part, pr, faulty);
-      },
-      opts);
-
-  EXPECT_EQ(outcome.recovery.faults_detected, 1u);
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  // Checkpoints land at boundaries 3, 6, 9; the crash in superstep 10 loses
-  // exactly the one superstep past the newest snapshot.
-  EXPECT_EQ(outcome.recovery.lost_supersteps, 1u);
-  EXPECT_GT(outcome.recovery.checkpoints_taken, 0u);
-  EXPECT_GT(outcome.recovery.modeled_recovery_s, 0.0);
-  expect_bit_identical(outcome.engine->values(), clean.values());
-}
-
-TEST(AutoRecovery, CyclopsPageRankRecoversFromCrash) {
-  const graph::Csr g = graph::Csr::build(graph::gen::rmat(8, 1600, 2014));
-  const auto part = test::hash_partition(g, 4);
-  algo::PageRankCyclops pr;
-  pr.epsilon = 1e-11;
-  core::Config cfg = core::Config::cyclops(4, 1);
-  cfg.max_supersteps = 200;
-
-  core::Engine<algo::PageRankCyclops> clean(g, part, pr, cfg);
-  (void)clean.run();
-  const auto want = clean.values();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 11;
-  plan.crash_machine = 0;
-  core::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 4;
-  auto outcome = runtime::run_with_recovery(
-      [&] {
-        return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
-                                                                     faulty);
-      },
-      opts);
-
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  EXPECT_EQ(outcome.recovery.lost_supersteps, 11u - 8u);  // rolled back to ckpt@8
-  EXPECT_TRUE(outcome.engine->replicas_consistent());
-  expect_bit_identical(outcome.engine->values(), want);
-}
-
-TEST(AutoRecovery, CyclopsSsspRecoversFromCrash) {
-  graph::gen::RoadSpec spec;
-  spec.rows = 14;
-  spec.cols = 14;
-  const graph::Csr g = graph::Csr::build(graph::gen::road_grid(spec, 3));
-  const auto part = test::hash_partition(g, 3);
-  algo::SsspCyclops sssp;
-  sssp.source = 0;
-  core::Config cfg = core::Config::cyclops(3, 1);
-  cfg.max_supersteps = 400;
-
-  core::Engine<algo::SsspCyclops> clean(g, part, sssp, cfg);
-  (void)clean.run();
-  const auto want = clean.values();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 7;
-  core::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 5;
-  auto outcome = runtime::run_with_recovery(
-      [&] {
-        return std::make_unique<core::Engine<algo::SsspCyclops>>(g, part, sssp, faulty);
-      },
-      opts);
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  expect_bit_identical(outcome.engine->values(), want);
-}
-
-TEST(AutoRecovery, BspSsspRecoversFromCrash) {
-  graph::gen::RoadSpec spec;
-  spec.rows = 14;
-  spec.cols = 14;
-  const graph::Csr g = graph::Csr::build(graph::gen::road_grid(spec, 3));
-  const auto part = test::hash_partition(g, 3);
-  algo::SsspBsp sssp;
-  sssp.source = 0;
-  bsp::Config cfg = bsp::Config::workers(3);
-  cfg.max_supersteps = 400;
-
-  bsp::Engine<algo::SsspBsp> clean(g, part, sssp, cfg);
-  (void)clean.run();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 6;
-  bsp::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 4;
-  opts.mode = runtime::CheckpointMode::kHeavyweight;
-  auto outcome = runtime::run_with_recovery(
-      [&] { return std::make_unique<bsp::Engine<algo::SsspBsp>>(g, part, sssp, faulty); },
-      opts);
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  expect_bit_identical(outcome.engine->values(),
-                       std::span<const double>(clean.values()));
-}
-
-TEST(AutoRecovery, GasPageRankRecoversFromCrash) {
-  const graph::EdgeList e = graph::gen::rmat(8, 1600, 2014);
-  const graph::Csr g = graph::Csr::build(e);
-  const auto part = partition::RandomVertexCut{}.partition(g, 4);
-  algo::PageRankGas pr;
-  pr.num_vertices = e.num_vertices();
-  pr.epsilon = 1e-11;
-  gas::Config cfg = gas::Config::workers(4);
-  cfg.max_iterations = 200;
-
-  gas::Engine<algo::PageRankGas> clean(g, part, pr, cfg);
-  (void)clean.run();
-  const auto want = clean.values();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 10;
-  gas::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 4;
-  auto outcome = runtime::run_with_recovery(
-      [&] {
-        return std::make_unique<gas::Engine<algo::PageRankGas>>(g, part, pr, faulty);
-      },
-      opts);
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  const auto got = outcome.engine->values();
-  ASSERT_EQ(got.size(), want.size());
-  for (VertexId v = 0; v < got.size(); ++v) {
-    EXPECT_EQ(got[v].rank, want[v].rank) << "vertex " << v;
-  }
-}
-
-TEST(AutoRecovery, GasSsspRecoversFromCrash) {
-  const graph::EdgeList e = graph::gen::rmat(8, 1600, 99);
-  const graph::Csr g = graph::Csr::build(e);
-  const auto part = partition::RandomVertexCut{}.partition(g, 3);
-  algo::SsspGas sssp;
-  sssp.source = 0;
-  gas::Config cfg = gas::Config::workers(3);
-  cfg.max_iterations = 200;
-
-  gas::Engine<algo::SsspGas> clean(g, part, sssp, cfg);
-  (void)clean.run();
-  const auto want = clean.values();
-  // Sanity: the GAS SSSP formulation matches Dijkstra.
-  const auto reference = algo::sssp_reference(g, 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (std::isinf(reference[v])) {
-      ASSERT_TRUE(std::isinf(want[v])) << "vertex " << v;  // both unreachable
-    } else {
-      ASSERT_NEAR(want[v], reference[v], 1e-9) << "vertex " << v;
-    }
-  }
-
-  sim::FaultPlan plan;
-  plan.crash_at = 3;
-  gas::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 2;
-  auto outcome = runtime::run_with_recovery(
-      [&] { return std::make_unique<gas::Engine<algo::SsspGas>>(g, part, sssp, faulty); },
-      opts);
-  EXPECT_EQ(outcome.recovery.recoveries, 1u);
-  expect_bit_identical(outcome.engine->values(), want);
-}
-
-TEST(AutoRecovery, CrashWithoutCheckpointReplaysFromScratch) {
-  const graph::Csr g = graph::Csr::build(graph::gen::rmat(7, 600, 5));
-  const auto part = test::hash_partition(g, 2);
-  algo::PageRankCyclops pr;
-  pr.epsilon = 1e-10;
-  core::Config cfg = core::Config::cyclops(2, 1);
-  cfg.max_supersteps = 60;
-  core::Engine<algo::PageRankCyclops> clean(g, part, pr, cfg);
-  (void)clean.run();
-
-  sim::FaultPlan plan;
-  plan.crash_at = 5;
-  core::Config faulty = cfg;
-  faulty.faults = std::make_shared<sim::FaultInjector>(plan);
-  runtime::RecoveryOptions opts;
-  opts.checkpoint_every = 0;  // no checkpoints at all
-  auto outcome = runtime::run_with_recovery(
-      [&] {
-        return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
-                                                                     faulty);
-      },
-      opts);
-  EXPECT_EQ(outcome.recovery.checkpoints_taken, 0u);
-  EXPECT_EQ(outcome.recovery.lost_supersteps, 5u);  // everything replayed
-  expect_bit_identical(outcome.engine->values(), clean.values());
-}
+// --- Automated crash recovery's failure paths. The recoveries themselves —
+// bit-identical to a fault-free twin for every catalog pair and mode — are
+// cells of the differential harness (test_differential.cpp). ---
 
 TEST(AutoRecovery, UnrecoverableWhenRetriesExhausted) {
   // max_recoveries caps the rollback loop; an injector that keeps crashing
@@ -508,59 +273,24 @@ TEST(AutoRecovery, FactoryMustShareTheInjector) {
       "CYCLOPS_CHECK failed: next->config\\(\\)\\.faults");
 }
 
-// Satellite: identical --fault-seed must mean identical fault schedule,
-// identical RecoveryStats, and bit-identical final values.
-TEST(Determinism, IdenticalSeedsIdenticalRecovery) {
-  const graph::Csr g = graph::Csr::build(graph::gen::rmat(8, 1800, 33));
-  const auto part = test::hash_partition(g, 4);
+// A log-based mode replays from the MessageLog in the engine's Config; without
+// one the run would fall back to rollback accounting while reporting log mode.
+TEST(AutoRecovery, LogModeRequiresAMessageLog) {
+  const graph::Csr g = graph::Csr::build(graph::gen::rmat(6, 300, 5));
+  const auto part = test::hash_partition(g, 2);
   algo::PageRankCyclops pr;
-  pr.epsilon = 1e-10;
-  core::Config base = core::Config::cyclops(4, 1);
-  base.max_supersteps = 80;
-
-  auto run_once = [&](std::uint64_t seed) {
-    sim::FaultPlan plan;
-    plan.seed = seed;
-    plan.crash_at = 7;
-    plan.crash_machine = 1;
-    plan.drop_rate = 0.1;
-    plan.corrupt_rate = 0.05;
-    core::Config cfg = base;
-    cfg.faults = std::make_shared<sim::FaultInjector>(plan);
-    runtime::RecoveryOptions opts;
-    opts.checkpoint_every = 3;
-    auto outcome = runtime::run_with_recovery(
-        [&] {
-          return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr,
-                                                                       cfg);
-        },
-        opts);
-    return std::make_pair(outcome.recovery, outcome.engine->values());
-  };
-
-  const auto [stats_a, values_a] = run_once(1234);
-  const auto [stats_b, values_b] = run_once(1234);
-
-  EXPECT_EQ(stats_a.checkpoints_taken, stats_b.checkpoints_taken);
-  EXPECT_EQ(stats_a.checkpoint_bytes_written, stats_b.checkpoint_bytes_written);
-  EXPECT_EQ(stats_a.last_checkpoint_bytes, stats_b.last_checkpoint_bytes);
-  EXPECT_EQ(stats_a.modeled_checkpoint_s, stats_b.modeled_checkpoint_s);
-  EXPECT_EQ(stats_a.faults_detected, stats_b.faults_detected);
-  EXPECT_EQ(stats_a.recoveries, stats_b.recoveries);
-  EXPECT_EQ(stats_a.lost_supersteps, stats_b.lost_supersteps);
-  // modeled_recovery_s prices the replayed window from the run's modeled
-  // per-superstep times (see recovery.hpp), so like everything else in
-  // RecoveryStats it must match bit for bit.
-  EXPECT_EQ(stats_a.modeled_recovery_s, stats_b.modeled_recovery_s);
-  EXPECT_EQ(stats_a.dropped_packages, stats_b.dropped_packages);
-  EXPECT_EQ(stats_a.corrupted_packages, stats_b.corrupted_packages);
-  EXPECT_EQ(stats_a.retransmissions, stats_b.retransmissions);
-  EXPECT_EQ(stats_a.modeled_fault_overhead_s, stats_b.modeled_fault_overhead_s);
-
-  ASSERT_EQ(values_a.size(), values_b.size());
-  for (std::size_t i = 0; i < values_a.size(); ++i) {
-    EXPECT_EQ(values_a[i], values_b[i]) << "vertex " << i;  // bit-identical
-  }
+  core::Config cfg = core::Config::cyclops(2, 1);
+  cfg.max_supersteps = 30;
+  sim::FaultPlan plan;
+  plan.crash_at = 2;
+  cfg.faults = std::make_shared<sim::FaultInjector>(plan);
+  runtime::RecoveryOptions opts;
+  opts.recovery = runtime::RecoveryMode::kLog;
+  EXPECT_DEATH(
+      (void)runtime::run_with_recovery(
+          [&] { return std::make_unique<core::Engine<algo::PageRankCyclops>>(g, part, pr, cfg); },
+          opts),
+      "CYCLOPS_CHECK failed: !localized \\|\\| log != nullptr");
 }
 
 // §3.6's measurable claim, engine-to-engine: the Cyclops lightweight

@@ -135,30 +135,28 @@ TEST(Reporter, RecoverySummaryGolden) {
 }
 
 TEST(Reporter, JobSummaryGolden) {
-  JobStats job;
-  job.job_id = 7;
-  job.tenant = "acme";
-  job.algo = "pr";
-  job.engine = "cyclops";
-  job.epoch = 2;
-  job.priority = 1;
-  job.queue_wait_s = 0.5;
-  job.run_s = 1.25;
-  job.modeled_comm_s = 0.75;
-  job.supersteps = 12;
-  job.outcome = "ok";
+  const JobStats job{.job_id = 7,
+                     .tenant = "acme",
+                     .algo = "pr",
+                     .engine = "cyclops",
+                     .epoch = 2,
+                     .priority = 1,
+                     .queue_wait_s = 0.5,
+                     .run_s = 1.25,
+                     .modeled_comm_s = 0.75,
+                     .supersteps = 12,
+                     .outcome = "ok"};
   EXPECT_EQ(job_summary(job),
             "job #7 [acme] cyclops/pr epoch 2 prio 1: ok; "
             "queued 0.500s, ran 1.250s (12 supersteps, 0.750s modeled comm)");
 }
 
 TEST(Reporter, JobSummaryCarriesFailureReason) {
-  JobStats job;
-  job.job_id = 9;
-  job.tenant = "acme";
-  job.algo = "cc";
-  job.engine = "gas";
-  job.outcome = "failed: gas engine supports pr and sssp only, not cc";
+  const JobStats job{.job_id = 9,
+                     .tenant = "acme",
+                     .algo = "cc",
+                     .engine = "gas",
+                     .outcome = "failed: gas engine supports pr and sssp only, not cc"};
   const std::string line = job_summary(job);
   EXPECT_NE(line.find("failed: gas engine supports pr and sssp only"),
             std::string::npos);
