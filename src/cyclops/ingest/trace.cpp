@@ -1,44 +1,80 @@
 #include "cyclops/ingest/trace.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "cyclops/common/check.hpp"
+#include "cyclops/graph/loader.hpp"
 
 namespace cyclops::ingest {
+
+namespace {
+
+// Whole-token numeric parse: from_chars rejects signs on unsigned types,
+// out-of-range values and trailing characters, which stream extraction would
+// wrap, clamp or leave unread.
+template <class T>
+bool parse_token(const std::string& tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 std::vector<MutationOp> parse_trace(std::istream& in) {
   std::vector<MutationOp> ops;
   std::string line;
+  std::uint64_t line_begin = 0;  // byte offset of the current line's start
   std::size_t lineno = 0;
   double prev_at = 0;
   while (std::getline(in, line)) {
     ++lineno;
+    const std::uint64_t this_line = line_begin;
+    line_begin += line.size() + 1;  // getline consumed the '\n' too
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
+    const auto fail = [&](const std::string& why) {
+      return graph::LoadError("trace: " + why, this_line, lineno);
+    };
     std::istringstream ls(line);
+    std::string at, verb, src, dst;
+    if (!(ls >> at >> verb >> src >> dst)) {
+      throw fail("expected '<at_s> add|remove <src> <dst> [weight]'");
+    }
     MutationOp op;
-    std::string verb;
-    if (!(ls >> op.at_s >> verb >> op.src >> op.dst)) {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": expected '<at_s> add|remove <src> <dst>'");
+    if (!parse_token(at, op.at_s) || !std::isfinite(op.at_s) || op.at_s < 0) {
+      throw fail("timestamp '" + at + "' is not a finite non-negative number");
     }
     if (verb == "add") {
       op.is_add = true;
-      ls >> op.weight;  // optional; stays 1.0 when absent
     } else if (verb == "remove") {
       op.is_add = false;
     } else {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": unknown op '" + verb + "'");
+      throw fail("unknown op '" + verb + "'");
     }
-    if (op.at_s < prev_at) {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": timestamps must be non-decreasing");
+    const auto vertex = [&](const std::string& tok) {
+      VertexId id = 0;
+      if (!parse_token(tok, id) || id == kInvalidVertex) {
+        throw fail("vertex id '" + tok + "' is not in [0, " + std::to_string(kInvalidVertex) +
+                   ")");
+      }
+      return id;
+    };
+    op.src = vertex(src);
+    op.dst = vertex(dst);
+    std::string extra;
+    if (op.is_add && ls >> extra) {  // optional weight; stays 1.0 when absent
+      if (!parse_token(extra, op.weight) || !std::isfinite(op.weight)) {
+        throw fail("weight '" + extra + "' is not a finite number");
+      }
     }
+    if (ls >> extra) throw fail("unexpected trailing token '" + extra + "'");
+    if (op.at_s < prev_at) throw fail("timestamps must be non-decreasing");
     prev_at = op.at_s;
     ops.push_back(op);
   }
@@ -47,7 +83,7 @@ std::vector<MutationOp> parse_trace(std::istream& in) {
 
 std::vector<MutationOp> load_trace(const std::string& path) {
   std::ifstream in(path);
-  if (!in.good()) throw std::runtime_error("cannot open trace file: " + path);
+  if (!in.good()) throw graph::LoadError("cannot open trace file: " + path, 0);
   return parse_trace(in);
 }
 

@@ -27,10 +27,14 @@ struct MutationOp {
   double weight = 1.0;
 };
 
-/// Parses the text format; throws std::runtime_error naming the bad line.
+/// Parses the text format. Throws graph::LoadError (with byte offset and
+/// line) on a malformed line: a missing field, an unknown op, a timestamp
+/// that is negative, non-finite or decreasing, a vertex id outside
+/// [0, kInvalidVertex), a malformed or non-finite weight, or a trailing token.
 [[nodiscard]] std::vector<MutationOp> parse_trace(std::istream& in);
 
-/// Loads and parses a trace file; throws std::runtime_error on IO failure.
+/// Loads and parses a trace file; throws graph::LoadError if it cannot be
+/// opened or does not parse.
 [[nodiscard]] std::vector<MutationOp> load_trace(const std::string& path);
 
 /// Knobs for deterministic synthetic traces (seeded, wall-clock free).

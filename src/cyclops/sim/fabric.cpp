@@ -47,8 +47,9 @@ ExchangeStats Fabric::exchange(std::size_t barrier_participants) {
 
   // Per-machine wire accounting: each machine's NIC serializes its own
   // outbound and inbound traffic; the superstep's comm time is the slowest
-  // machine (they all overlap).
-  std::vector<double> machine_cost_us(topo_.machines, 0.0);
+  // machine (they all overlap). The vector is a member so an exchange does
+  // not allocate.
+  machine_cost_us_.assign(topo_.machines, 0.0);
 
   std::uint64_t buffered = 0;
   for (const OutBox& box : outboxes_) buffered += box.pending_bytes();
@@ -69,14 +70,14 @@ ExchangeStats Fabric::exchange(std::size_t barrier_participants) {
           stats.net.local_messages += msgs;
           stats.net.local_bytes += bytes;
           wire_cost = model_.local_cost_us(msgs, bytes);
-          machine_cost_us[topo_.machine_of(from)] += wire_cost;
+          machine_cost_us_[topo_.machine_of(from)] += wire_cost;
         } else {
           counters_.add_remote(msgs, bytes);
           stats.net.remote_messages += msgs;
           stats.net.remote_bytes += bytes;
           wire_cost = model_.remote_cost_us(msgs, bytes);
-          machine_cost_us[topo_.machine_of(from)] += wire_cost;
-          machine_cost_us[topo_.machine_of(to)] += wire_cost * 0.5;  // receive side
+          machine_cost_us_[topo_.machine_of(from)] += wire_cost;
+          machine_cost_us_[topo_.machine_of(to)] += wire_cost * 0.5;  // receive side
         }
         counters_.add_package();
         ++stats.net.packages;
@@ -106,7 +107,7 @@ ExchangeStats Fabric::exchange(std::size_t barrier_participants) {
             ++stats.retransmitted_packages;
           }
           if (overhead_us > 0) {
-            machine_cost_us[topo_.machine_of(from)] += overhead_us;
+            machine_cost_us_[topo_.machine_of(from)] += overhead_us;
             faults_->charge_overhead_us(overhead_us);
           }
         }
@@ -152,15 +153,16 @@ ExchangeStats Fabric::exchange(std::size_t barrier_participants) {
     for (MachineId m = 0; m < topo_.machines; ++m) {
       const double extra = faults_->straggler_extra_us(m);
       if (extra > 0) {
-        machine_cost_us[m] += extra;
+        machine_cost_us_[m] += extra;
         faults_->charge_overhead_us(extra);
       }
     }
   }
 
   const double max_machine_us =
-      machine_cost_us.empty() ? 0.0
-                              : *std::max_element(machine_cost_us.begin(), machine_cost_us.end());
+      machine_cost_us_.empty()
+          ? 0.0
+          : *std::max_element(machine_cost_us_.begin(), machine_cost_us_.end());
   stats.modeled_comm_s = max_machine_us * 1e-6;
   stats.modeled_barrier_s = model_.barrier_cost_us(barrier_participants) * 1e-6;
   modeled_comm_s_ += stats.modeled_comm_s;

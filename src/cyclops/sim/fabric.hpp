@@ -202,6 +202,7 @@ class Fabric {
   std::size_t lanes_ = 1;
   std::vector<OutBox> outboxes_;             // [worker * lanes_ + lane]
   std::vector<std::vector<Package>> inboxes_;  // [worker]
+  std::vector<double> machine_cost_us_;        // [machine], scratch of exchange()
   NetCounters counters_;
   FaultInjector* faults_ = nullptr;
   MessageLog* log_ = nullptr;

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cyclops/graph/csr.hpp"
 #include "cyclops/algorithms/pagerank.hpp"
@@ -32,6 +35,35 @@ TEST(Crc32, KnownAnswers) {
   const std::uint8_t a[] = {0x00};
   const std::uint8_t b[] = {0x01};
   EXPECT_NE(crc32(a), crc32(b));
+}
+
+// Bit-at-a-time CRC-32/IEEE, straight from the definition: the reference the
+// table-driven crc32 must match on every length and alignment.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnEveryLengthAndAlignment) {
+  std::mt19937 rng(2014);
+  std::vector<std::uint8_t> buf(1 << 20);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto view = all.subspan(offset, len);
+      ASSERT_EQ(crc32(view), crc32_bitwise(view)) << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(crc32(all), crc32_bitwise(all));
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+    const std::vector<std::uint8_t> uniform(4099, fill);
+    EXPECT_EQ(crc32(uniform), crc32_bitwise(uniform)) << "fill " << int{fill};
+  }
 }
 
 TEST(FaultInjector, IdenticalSeedsYieldIdenticalSchedules) {

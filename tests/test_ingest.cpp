@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "cyclops/core/mutation.hpp"
 #include "cyclops/graph/csr.hpp"
 #include "cyclops/graph/delta_overlay.hpp"
+#include "cyclops/graph/loader.hpp"
 #include "cyclops/ingest/incremental.hpp"
 #include "cyclops/ingest/ingestor.hpp"
 #include "cyclops/ingest/trace.hpp"
@@ -65,6 +68,69 @@ std::vector<ingest::MutationOp> equivalence_trace(const graph::GraphStore& g, bo
     }
   }
   return ops;
+}
+
+// ---------------------------------------------------------------------------
+// Trace parsing: every malformed line is a typed error naming its line
+
+std::vector<ingest::MutationOp> parse(const std::string& text) {
+  std::istringstream in(text);
+  return ingest::parse_trace(in);
+}
+
+TEST(TraceParse, ReadsOpsCommentsAndOptionalWeight) {
+  const auto ops = parse("# header\n\n0 add 1 2\n0.5 add 3 4 2.5\n  # note\n1e0 remove 1 2\n"
+                         "1 remove 3 4\r\n2\tadd 4294967294 0 -1\n");
+  ASSERT_EQ(ops.size(), 5u);
+  EXPECT_TRUE(ops[0].is_add);
+  EXPECT_EQ(ops[0].weight, 1.0);
+  EXPECT_EQ(ops[1].src, 3u);
+  EXPECT_EQ(ops[1].weight, 2.5);
+  EXPECT_FALSE(ops[2].is_add);
+  EXPECT_EQ(ops[2].at_s, 1.0);
+  EXPECT_EQ(ops[3].dst, 4u);
+  EXPECT_EQ(ops[4].src, kInvalidVertex - 1);
+  EXPECT_EQ(ops[4].weight, -1.0);
+}
+
+TEST(TraceParse, MalformedLinesThrowLoadErrorWithLineNumber) {
+  const char* const bad[] = {
+      "0.5 add 1 2 abc",         // malformed weight (streams read it as 0)
+      "0.5 add 1 2 inf",         // non-finite weight
+      "0.5 add 1 2 nan",         // non-finite weight
+      "0.5 add -1 2",            // negative id (streams wrap it to kInvalidVertex)
+      "0.5 add 1 -2",            // negative id
+      "0.5 add 4294967295 2",    // kInvalidVertex itself
+      "0.5 add 4294967296 2",    // overflows 32 bits
+      "0.5 add 1x 2",            // trailing characters in an id
+      "0.5 add 1 2 3.0 extra",   // trailing token after the weight
+      "0.5 remove 1 2 3.0",      // remove takes no weight
+      "0.5 add 1 2 # comment",   // comments are whole lines only
+      "inf add 1 2",             // non-finite timestamp
+      "nan add 1 2",             // non-finite timestamp
+      "-0.5 add 1 2",            // negative timestamp
+      "0.5s add 1 2",            // malformed timestamp
+      "0.5 move 1 2",            // unknown op
+      "0.5 add 1",               // missing field
+      "0.1 add 1 2\n0.05 add 2 3",  // decreasing timestamp, on line 3
+  };
+  for (const char* text : bad) {
+    const std::string input = std::string("# good line follows\n") + text + "\n";
+    const std::uint64_t line = std::string(text).find('\n') == std::string::npos ? 2 : 3;
+    try {
+      (void)parse(input);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const graph::LoadError& err) {
+      EXPECT_EQ(err.line(), line) << text;
+      EXPECT_NE(std::string(err.what()).find("line " + std::to_string(line)), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(TraceParse, UnopenableFileThrowsLoadError) {
+  EXPECT_THROW((void)ingest::load_trace(testing::TempDir() + "no-such-trace.txt"),
+               graph::LoadError);
 }
 
 // ---------------------------------------------------------------------------
