@@ -1,7 +1,8 @@
 // The paper's evaluation, one panel per figure or table: the §2.2 motivation
-// experiment (Fig. 3), §6's Figures 9-13 and Tables 2 and 4, and an ablation
-// of the design choices DESIGN.md §4 calls out. Panels are keyed by
-// DESIGN.md §3's experiment IDs:
+// experiment (Fig. 3), §6's Figures 9-13 and Tables 2 and 4, an ablation of
+// the design choices DESIGN.md §4 calls out, and three panels beyond the
+// paper — checkpoint and recovery cost (REC), incremental ingest (ING) and
+// store capacity (CAP). Panels are keyed by DESIGN.md §3's experiment IDs:
 //
 //   bench_paper                   every panel, in DESIGN.md §3's order
 //   bench_paper --figure F9.2     one panel
@@ -12,6 +13,9 @@
 // to run. The one exception is F13.1, whose ingress seconds are host time.
 // The figure_<ID> ctests byte-compare every other panel's stdout against
 // bench/baselines/figures/<ID>.txt (EXPERIMENTS.md, "Figure gate").
+//
+// A panel that checks claims prints one "<claim>: yes|NO" line per claim;
+// bench_paper exits 1 if any claim failed, 0 otherwise.
 //
 // Table 3 is bench_table3_msg_micro: Google Benchmark, host time.
 
@@ -28,12 +32,20 @@
 #include "cyclops/core/engine.hpp"
 #include "cyclops/core/layout.hpp"
 #include "cyclops/graph/csr.hpp"
+#include "cyclops/graph/generators.hpp"
+#include "cyclops/ingest/incremental.hpp"
+#include "cyclops/ingest/ingestor.hpp"
+#include "cyclops/ingest/trace.hpp"
 #include "cyclops/metrics/convergence.hpp"
 #include "cyclops/metrics/reporter.hpp"
 #include "cyclops/partition/hash.hpp"
 #include "cyclops/partition/ldg.hpp"
 #include "cyclops/partition/multilevel.hpp"
 #include "cyclops/partition/partition.hpp"
+#include "cyclops/runtime/recovery.hpp"
+#include "cyclops/service/snapshot.hpp"
+#include "cyclops/sim/fault.hpp"
+#include "cyclops/sim/message_log.hpp"
 #include "harness.hpp"
 
 namespace {
@@ -57,7 +69,7 @@ std::string count(std::uint64_t v) { return Table::fmt_int(static_cast<long long
 // per-vertex error by rank importance when the *global* error bound is
 // reached — important vertices are still unconverged while converged ones
 // keep computing. ---
-void fig3(const algo::DatasetScale& scale) {
+bool fig3(const algo::DatasetScale& scale) {
   const algo::Dataset gweb = algo::make_gweb(scale);
   const graph::Csr g = graph::Csr::build(gweb.edges);
   std::printf("Dataset: %s\n", gweb.describe().c_str());
@@ -134,11 +146,12 @@ void fig3(const algo::DatasetScale& scale) {
   }
   print(t3, "Figure 3(3): final error by importance decile (paper: "
             "unconverged vertices concentrate in the top deciles)");
+  return true;
 }
 
 // --- F9.1: speedup of Cyclops and CyclopsMT over Hama, 48 workers, hash
 // partition, all seven benchmarks. Also prints the dataset list. ---
-void fig9_1(const algo::DatasetScale& scale) {
+bool fig9_1(const algo::DatasetScale& scale) {
   // Paper-reported speedups where §6.3 states them explicitly; "~" where the
   // figure is only graphical.
   constexpr const char* kPaper[][2] = {
@@ -162,10 +175,11 @@ void fig9_1(const algo::DatasetScale& scale) {
                kPaper[i][0], kPaper[i][1]});
   }
   print(t, "Figure 9(1): speedup over Hama, 48 workers, hash partition");
+  return true;
 }
 
 // --- F9.2: scalability with 6/12/24/48 workers, normalized to Hama with 6. ---
-void fig9_2(const algo::DatasetScale& scale) {
+bool fig9_2(const algo::DatasetScale& scale) {
   Table t({"benchmark", "dataset", "workers", "Hama", "Cyclops", "CyclopsMT"});
   for (const auto& d : algo::make_all_datasets(scale)) {
     const graph::Csr g = graph::Csr::build(d.edges);
@@ -182,10 +196,11 @@ void fig9_2(const algo::DatasetScale& scale) {
     }
   }
   print(t, "Figure 9(2): scalability, speedup normalized to Hama with 6 workers");
+  return true;
 }
 
 // --- F10.1: execution-time breakdown (SYN/PRS/CMP/SND), 48 workers. ---
-void fig10_1(const algo::DatasetScale& scale) {
+bool fig10_1(const algo::DatasetScale& scale) {
   std::puts("Figure 10(1): execution-time breakdown, 48 workers");
   std::puts("(paper: Hama dominated by SND+PRS; Cyclops/CyclopsMT by CMP)");
   for (const auto& d : algo::make_all_datasets(scale)) {
@@ -196,11 +211,12 @@ void fig10_1(const algo::DatasetScale& scale) {
       std::printf("%s\n", metrics::phase_breakdown_row(label, r.stats, true).c_str());
     }
   }
+  return true;
 }
 
 // --- F10.2 (with F10.3): active vertices and messages per superstep,
 // PageRank on GWeb, Hama vs Cyclops. ---
-void fig10_2(const algo::DatasetScale& scale) {
+bool fig10_2(const algo::DatasetScale& scale) {
   const algo::Dataset gweb = algo::make_gweb(scale);
   const graph::Csr g = graph::Csr::build(gweb.edges);
   const CellResult hama = run_cell(gweb, g, EngineKind::kHama, {});
@@ -220,10 +236,11 @@ void fig10_2(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 10(2)/(3): active vertices and messages per superstep, "
            "PageRank on GWeb (paper: Cyclops decays, Hama stays flat)");
+  return true;
 }
 
 // --- F11.1: replication factor vs #partitions on Wiki, hash vs multilevel. ---
-void fig11_1(const algo::DatasetScale& scale) {
+bool fig11_1(const algo::DatasetScale& scale) {
   const graph::Csr g = graph::Csr::build(algo::make_wiki(scale).edges);
   Table t({"partitions", "hash", "multilevel(metis)"});
   for (WorkerId parts : {6u, 12u, 24u, 48u}) {
@@ -235,10 +252,11 @@ void fig11_1(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 11(1): replication factor vs partitions, Wiki "
            "(paper: hash approaches avg degree; Metis much lower)");
+  return true;
 }
 
 // --- F11.2: replication factor per dataset at 48 partitions. ---
-void fig11_2(const algo::DatasetScale& scale) {
+bool fig11_2(const algo::DatasetScale& scale) {
   Table t({"dataset", "hash", "multilevel(metis)"});
   for (const auto& d : algo::make_all_datasets(scale)) {
     const graph::Csr g = graph::Csr::build(d.edges);
@@ -250,11 +268,12 @@ void fig11_2(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 11(2): replication factor per dataset, 48 partitions "
            "(paper: RoadCA near 0.07 extra; web graphs 4-8)");
+  return true;
 }
 
 // --- F11.3: speedups under the multilevel partition, normalized to Hama
 // under the same partition. ---
-void fig11_3(const algo::DatasetScale& scale) {
+bool fig11_3(const algo::DatasetScale& scale) {
   // §6.3/§6.6: with Metis, Cyclops reaches 5.95x-23.04x over Hama.
   constexpr const char* kPaper[][2] = {
       {"~6x", "~9x"},  {"~8x", "~12x"}, {"~12x", "~18x"}, {"~15x", "23.04x"},
@@ -276,12 +295,13 @@ void fig11_3(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 11(3): speedup over Hama under multilevel (Metis-like) "
            "partition, 48 workers");
+  return true;
 }
 
 // --- F12: CyclopsMT configuration sweep M x W x T / R (machines x workers
 // per machine x threads / receivers), PageRank on GWeb. Sets the thread
 // decomposition the catalog does not carry, so it builds engines itself. ---
-void fig12(const algo::DatasetScale& scale) {
+bool fig12(const algo::DatasetScale& scale) {
   struct Shape {
     WorkerId workers_per_machine;
     unsigned threads, receivers;
@@ -323,11 +343,12 @@ void fig12(const algo::DatasetScale& scale) {
   print(t, "Figure 12: CyclopsMT configuration sweep, PageRank on GWeb "
            "(paper: more workers inflate replicas/messages; threads cut CMP "
            "with stable SND; best config 6x1x8/2)");
+  return true;
 }
 
 // --- F13.1: ingress time breakdown (load / replicate / init), Hama vs
 // Cyclops. Host time, not modeled: the one panel the figure gate skips. ---
-void fig13_1(const algo::DatasetScale& scale) {
+bool fig13_1(const algo::DatasetScale& scale) {
   Table t({"dataset", "LD(s)", "REP(s)", "INIT(s)", "TOT Hama(s)", "TOT Cyclops(s)"});
   for (const auto& d : algo::make_all_datasets(scale)) {
     // LD: text-free in-memory build (CSR construction stands in for the HDFS
@@ -344,11 +365,12 @@ void fig13_1(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 13(1): ingress time breakdown, host seconds, varies run to run "
            "(paper: Cyclops pays a modest one-time replication cost over Hama)");
+  return true;
 }
 
 // --- F13.2: ALS execution time as the input grows. The paper sweeps 0.34M
 // to 20.2M edges; here SYN-GL grows from 1/8 to 2x its stand-in size. ---
-void fig13_2(const algo::DatasetScale& scale) {
+bool fig13_2(const algo::DatasetScale& scale) {
   Table t({"edges", "CyclopsMT time(s)", "Hama time(s)"});
   for (double factor : {0.125, 0.25, 0.5, 1.0, 2.0}) {
     const algo::Dataset d =
@@ -361,12 +383,13 @@ void fig13_2(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 13(2): ALS execution time vs graph size "
            "(paper: near-linear growth, 9.6s@0.34M -> 207.7s@20.2M)");
+  return true;
 }
 
 // --- F13.3: L1-norm distance to the final PageRank over modeled time, on
 // GWeb, for Hama, Cyclops and CyclopsMT. The observer is not a Config field,
 // so the panel builds the engines itself. ---
-void fig13_3(const algo::DatasetScale& scale) {
+bool fig13_3(const algo::DatasetScale& scale) {
   const algo::Dataset gweb = algo::make_gweb(scale);
   const graph::Csr g = graph::Csr::build(gweb.edges);
   const auto reference = algo::pagerank_reference(g);
@@ -407,6 +430,7 @@ void fig13_3(const algo::DatasetScale& scale) {
   }
   print(t, "Figure 13(3): L1-norm distance to final PageRank over time "
            "(paper: Cyclops/CyclopsMT converge markedly faster than Hama)");
+  return true;
 }
 
 // --- T2: memory behaviour of Hama/48, Cyclops/48 and CyclopsMT/6x8 for
@@ -415,7 +439,7 @@ void fig13_3(const algo::DatasetScale& scale) {
 // the byte footprints that drove them: resident state (heap usage analog),
 // peak with in-flight messages (max capacity analog), and message churn
 // divided by a 64 MB nursery (young-GC-count analog). ---
-void table2(const algo::DatasetScale& scale) {
+bool table2(const algo::DatasetScale& scale) {
   constexpr std::uint64_t kNursery = 64ull << 20;
   const algo::Dataset wiki = algo::make_wiki(scale);
   const graph::Csr g = graph::Csr::build(wiki.edges);
@@ -453,13 +477,14 @@ void table2(const algo::DatasetScale& scale) {
   print(st, "Table 2b: Cyclops/48 graph bytes by store backend "
             "(stream: O(|V|) index resident, adjacency + message spill "
             "charged to disk under the 8 MB cap)");
+  return true;
 }
 
 // --- T4: CyclopsMT vs PowerGraph for PageRank on the four web/social graphs
 // under (a) hash partitioning (hash edge-cut vs random vertex-cut) and (b)
 // heuristic partitioning (multilevel vs coordinated-greedy). The msg/rep
 // column is the mechanism of the whole comparison (Cyclops <= 1, PG ~5). ---
-void table4(const algo::DatasetScale& scale) {
+bool table4(const algo::DatasetScale& scale) {
   const std::vector<algo::Dataset> web = {algo::make_amazon(scale), algo::make_gweb(scale),
                                           algo::make_ljournal(scale), algo::make_wiki(scale)};
   // Paper Table 4, hash partition: exec time Cyclops : PG, avg replicas,
@@ -501,6 +526,7 @@ void table4(const algo::DatasetScale& scale) {
       }
     }
   }
+  return true;
 }
 
 // --- ABL: each section toggles exactly one mechanism (a Config field the
@@ -524,7 +550,7 @@ std::uint64_t computed_vertices(const metrics::RunStats& stats) {
   return n;
 }
 
-void ablation(const algo::DatasetScale& scale) {
+bool ablation(const algo::DatasetScale& scale) {
   const algo::Dataset gweb = algo::make_gweb(scale);
   const graph::Csr g = graph::Csr::build(gweb.edges);
   std::printf("Dataset: %s\n\n", gweb.describe().c_str());
@@ -577,11 +603,418 @@ void ablation(const algo::DatasetScale& scale) {
                count(stats.net_totals().total_messages()), Table::fmt(stats.total_time_s(), 3)});
   }
   print(d, "Ablation D: partition quality -> replicas -> messages -> time");
+  return true;
+}
+
+/// Prints one claim line, "<what>: yes" or "<what>: NO", and returns whether
+/// the claim held. A claim that only `binds` at --scale 1 and above prints
+/// "not checked below --scale 1" under it and never fails the run.
+bool claim(const std::string& what, bool holds, bool binds = true) {
+  std::printf("%s: %s\n", what.c_str(),
+              !binds ? "not checked below --scale 1" : holds ? "yes" : "NO");
+  return holds || !binds;
+}
+
+// --- REC: §3.6 checkpoint cost and log-based localized recovery, PageRank
+// with periodic checkpoints and one injected crash of machine 1.
+//   Checkpoint cost: Cyclops checkpoints are cheap because replicas and
+//   in-flight messages regenerate from the immutable view, while Hama must
+//   also persist every pending in-queue message. Claim: a lightweight Cyclops
+//   checkpoint is smaller than a heavyweight Hama one.
+//   Recovery mode: same Cyclops configuration, rollback vs log vs
+//   log-parallel. Rollback re-executes the lost window on every machine; log
+//   replays only the failed machine, re-feeding its inbound packages from the
+//   message log; log-parallel re-partitions the dead machine's share across
+//   the survivors. Claim: on GWeb both log modes beat rollback, by >= 5x at
+//   --scale 1 (below it, detection and frame-read floors compress the
+//   ratio). ---
+constexpr Superstep kCheckpointEvery = 5;
+constexpr Superstep kCrashAt = 12;
+// Recovery-mode cells model the deployment log-based recovery is built for:
+// checkpoints are rare (they cost stable-storage writes every interval, so
+// operators stretch them), which makes the replay window long — here the
+// crash at superstep 24 rolls back to the superstep-0 snapshot, losing 24
+// supersteps. Rollback re-executes that window on all six machines;
+// log-based modes replay one machine's share of it. The detector is an
+// aggressive 1ms lease so the comparison measures replay work, not a
+// detection constant charged equally to every mode.
+constexpr Superstep kModeCheckpointEvery = 25;
+constexpr Superstep kModeCrashAt = 24;
+constexpr double kModeDetectionUs = 1000.0;
+
+struct Recovered {
+  metrics::RecoveryStats rec;
+  double total_s = 0;  ///< run + checkpoint writes + recovery, all modeled
+};
+
+/// PageRank on `kind` with 48 workers, machine 1 crashing at `crash_at`,
+/// recovered as `ropts` says; log modes get a message log shared between the
+/// fabric and the recovery loop.
+Recovered run_recovered(const graph::Csr& g, EngineKind kind, Superstep crash_at,
+                        double detection_us, const runtime::RecoveryOptions& ropts) {
+  sim::FaultPlan plan;
+  plan.seed = 42;
+  plan.crash_at = crash_at;
+  plan.crash_machine = 1;
+  plan.detection_timeout_us = detection_us;
+  const RunOptions opts;
+  const algo::ClusterShape shape{.machines = kMachines,
+                                 .workers_per_machine = opts.workers / kMachines,
+                                 .max_supersteps = kMaxSupersteps};
+  return algo::with_job(
+      g, algo::Algo::kPageRank, kind, {.epsilon = kEpsilon}, shape,
+      [&]<typename Engine>(std::type_identity<Engine>, const auto& prog, auto cfg) {
+        cfg.faults = std::make_shared<sim::FaultInjector>(plan);
+        if (ropts.recovery != runtime::RecoveryMode::kRollback) {
+          cfg.message_log = std::make_shared<sim::MessageLog>();
+        }
+        const auto part = make_partition<Engine>(g, opts, cfg.topo.total_workers());
+        const auto outcome = runtime::run_with_recovery(
+            [&] { return std::make_unique<Engine>(g, part, prog, cfg); }, ropts);
+        return Recovered{outcome.recovery, outcome.run.total_time_s() +
+                                               outcome.recovery.modeled_checkpoint_s +
+                                               outcome.recovery.modeled_recovery_s};
+      });
+}
+
+bool recovery_costs(const algo::DatasetScale& scale) {
+  using runtime::CheckpointMode;
+  using runtime::RecoveryMode;
+  Table ckpt({"dataset", "engine", "mode", "ckpts", "ckpt bytes", "last ckpt", "write(s)",
+              "lost ss", "recover(s)", "total(s)"});
+  Table modes({"dataset", "recovery", "lost ss", "log MB", "verified", "window(s)",
+               "recover(s)", "speedup"});
+  bool smaller = true;
+  double log_speedup = 0;
+  double parallel_speedup = 0;
+  for (const auto& d : {algo::make_gweb(scale), algo::make_amazon(scale),
+                        algo::make_syn_gl(scale)}) {
+    const graph::Csr g = graph::Csr::build(d.edges);
+    std::uint64_t hama_bytes = 0;
+    std::uint64_t light_bytes = 0;
+    for (const auto& [kind, mode] : {std::pair{EngineKind::kHama, CheckpointMode::kHeavyweight},
+                                     std::pair{EngineKind::kCyclops, CheckpointMode::kLightweight},
+                                     std::pair{EngineKind::kCyclops, CheckpointMode::kHeavyweight},
+                                     std::pair{EngineKind::kGas, CheckpointMode::kLightweight}}) {
+      const Recovered r =
+          run_recovered(g, kind, kCrashAt, sim::FaultPlan{}.detection_timeout_us,
+                        {.checkpoint_every = kCheckpointEvery, .mode = mode});
+      if (kind == EngineKind::kHama) hama_bytes = r.rec.last_checkpoint_bytes;
+      if (kind == EngineKind::kCyclops && mode == CheckpointMode::kLightweight) {
+        light_bytes = r.rec.last_checkpoint_bytes;
+      }
+      ckpt.add_row({d.name, algo::label(kind), runtime::checkpoint_mode_name(mode),
+                    count(r.rec.checkpoints_taken), count(r.rec.checkpoint_bytes_written),
+                    count(r.rec.last_checkpoint_bytes), Table::fmt(r.rec.modeled_checkpoint_s, 3),
+                    count(r.rec.lost_supersteps), Table::fmt(r.rec.modeled_recovery_s, 3),
+                    Table::fmt(r.total_s, 3)});
+    }
+    // Cyclops saves masters only (replicas regenerate); Hama must persist
+    // vertex state plus every pending in-queue message.
+    smaller = smaller && light_bytes < hama_bytes;
+    // Same engine, cadence and crash: only the recovery strategy differs.
+    double rollback_s = 0;
+    for (const RecoveryMode recovery :
+         {RecoveryMode::kRollback, RecoveryMode::kLog, RecoveryMode::kLogParallel}) {
+      const Recovered r = run_recovered(g, EngineKind::kCyclops, kModeCrashAt, kModeDetectionUs,
+                                        {.checkpoint_every = kModeCheckpointEvery,
+                                         .mode = CheckpointMode::kLightweight,
+                                         .recovery = recovery});
+      if (recovery == RecoveryMode::kRollback) rollback_s = r.rec.modeled_recovery_s;
+      const double speedup =
+          r.rec.modeled_recovery_s > 0 ? rollback_s / r.rec.modeled_recovery_s : 0.0;
+      if (d.name == "GWeb" && recovery == RecoveryMode::kLog) log_speedup = speedup;
+      if (d.name == "GWeb" && recovery == RecoveryMode::kLogParallel) parallel_speedup = speedup;
+      modes.add_row({d.name, runtime::recovery_mode_name(recovery),
+                     count(r.rec.lost_supersteps),
+                     Table::fmt(static_cast<double>(r.rec.log_bytes) / (1 << 20), 2),
+                     count(r.rec.replay_verified_packages), Table::fmt(r.rec.replay_window_s, 3),
+                     Table::fmt(r.rec.modeled_recovery_s, 4), Table::fmt(speedup, 1)});
+    }
+  }
+  print(ckpt, "Checkpoint cost: PageRank with checkpoint-every-5 and a machine crash at "
+              "superstep 12");
+  print(modes, "Recovery mode: Cyclops lightweight, rare checkpoints (every 25), crash at "
+               "superstep 24, 1ms detector — rollback vs localized log replay");
+  const double bar = scale.factor >= 1 ? 5.0 : 1.0;
+  char speedups[160];
+  std::snprintf(speedups, sizeof(speedups),
+                "GWeb modeled-recovery speedup vs rollback: log %.1fx, log-parallel %.1fx "
+                "(bar %.0fx)",
+                log_speedup, parallel_speedup, bar);
+  const bool ckpt_ok =
+      claim("Cyclops lightweight checkpoint < BSP heavyweight checkpoint", smaller);
+  return claim(speedups, log_speedup >= bar && parallel_speedup >= bar) && ckpt_ok;
+}
+
+// --- ING: streaming ingestion, incremental re-convergence vs a cold
+// from-scratch run on every published epoch (beyond the paper): delta-PR
+// and CC on GWeb, SSSP on a road grid, so cold runs pay diameter-many
+// supersteps, which an incremental frontier restart saves. 32-op batches
+// stay well under 1% of |E| at --scale 1, the small-delta regime the claims
+// are about. Claims at --scale 1: PR and SSSP cut modeled time >= 3x, SSSP
+// cuts supersteps >= 3x, and an overlay epoch's store-resident bytes (patch
+// only) stay under 10% of the flat base it shares structure with. Delta-PR's
+// superstep cut is contraction-depth limited (residuals decay below epsilon
+// at the same 0.85/round rate a cold run pays), so its wins are messages
+// and modeled time. ---
+constexpr std::size_t kIngestBatch = 32;
+
+struct IngestRow {
+  std::string algo;
+  std::uint64_t epochs = 0;
+  std::uint64_t inc_supersteps = 0;
+  std::uint64_t cold_supersteps = 0;
+  std::uint64_t inc_messages = 0;
+  std::uint64_t cold_messages = 0;
+  double inc_modeled_s = 0;
+  double cold_modeled_s = 0;
+  std::uint64_t base_resident = 0;  ///< flat epoch-0 store bytes
+  std::uint64_t epoch_resident = 0;  ///< mean overlay store bytes per mutation epoch
+
+  [[nodiscard]] double superstep_ratio() const {
+    return inc_supersteps > 0
+               ? static_cast<double>(cold_supersteps) / static_cast<double>(inc_supersteps)
+               : 0.0;
+  }
+  [[nodiscard]] double message_ratio() const {
+    return inc_messages > 0
+               ? static_cast<double>(cold_messages) / static_cast<double>(inc_messages)
+               : 0.0;
+  }
+  [[nodiscard]] double modeled_time_ratio() const {
+    return inc_modeled_s > 0 ? cold_modeled_s / inc_modeled_s : 0.0;
+  }
+};
+
+/// Locality-preserving mutation trace for the road grid: diagonal-shortcut
+/// adds at random cells, weighted like roughly one lattice hop so each
+/// improvement wavefront stays regional, plus a fraction of removals drawn
+/// from earlier adds. (synth_trace's random-pair adds would create global
+/// shortcuts on a grid — every one forces a diameter-length re-propagation,
+/// which is a full-recompute workload, not the small-delta regime measured
+/// here.)
+std::vector<ingest::MutationOp> local_grid_trace(VertexId rows, VertexId cols,
+                                                 std::size_t ops, std::uint64_t seed) {
+  std::vector<ingest::MutationOp> trace;
+  std::vector<std::pair<VertexId, VertexId>> added;
+  std::uint64_t x = seed;
+  const auto next = [&x]() {  // splitmix64: seeded, wall-clock free
+    x += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  for (std::size_t i = 0; i < ops; ++i) {
+    ingest::MutationOp op;
+    op.at_s = 1e-4 * static_cast<double>(i);
+    if (i % 10 == 9 && !added.empty()) {
+      const auto [s, d] = added[next() % added.size()];
+      op.is_add = false;
+      op.src = s;
+      op.dst = d;
+    } else {
+      const VertexId r = static_cast<VertexId>(next() % (rows - 1));
+      const VertexId c = static_cast<VertexId>(next() % (cols - 1));
+      op.src = r * cols + c;
+      op.dst = (r + 1) * cols + (c + 1);
+      // Priced near the two-hop alternative it bypasses (lattice weights are
+      // lognormal with median ~1.5/hop): improvements are small, so the
+      // affected cone — vertices whose shortest path adopts the shortcut —
+      // stays regional instead of sweeping the whole grid.
+      op.weight = 2.0 + 1e-3 * static_cast<double>(next() % 2000);
+      added.emplace_back(op.src, op.dst);
+    }
+    trace.push_back(op);
+  }
+  return trace;
+}
+
+service::SnapshotConfig overlay_snapshots() {
+  service::SnapshotConfig cfg;
+  cfg.machines = 2;
+  cfg.workers_per_machine = 2;
+  cfg.overlay_publish = true;
+  return cfg;
+}
+
+/// Replays `trace` through an ingestor into overlay-published snapshots; per
+/// epoch, advances the incremental engine and runs a cold engine from
+/// scratch on the same snapshot.
+template <typename Prog>
+IngestRow incremental_run(const char* algo, const graph::EdgeList& base,
+                          const std::vector<ingest::MutationOp>& trace, Prog prog,
+                          const ingest::IncrementalConfig& icfg) {
+  service::SnapshotStore store(base, overlay_snapshots());
+  IngestRow row;
+  row.algo = algo;
+  row.base_resident = store.current()->store().memory().resident_bytes;
+
+  ingest::Incremental<Prog> inc(store.current(), prog, icfg);
+  (void)inc.cold_run();  // epoch-0 convergence is common to both sides
+
+  std::uint64_t resident_sum = 0;
+  ingest::MutationIngestor ingestor(store, {kIngestBatch, /*max_delay_s=*/1e9});
+  ingestor.set_epoch_hook([&](service::Epoch, const core::TopologyDelta& delta) {
+    const service::SnapshotRef snap = store.current();
+    resident_sum += snap->store().memory().resident_bytes;
+    const ingest::EpochAdvance adv = inc.advance(snap, delta);
+    row.inc_supersteps += adv.run.supersteps.size();
+    row.inc_messages += adv.run.net_totals().total_messages();
+    row.inc_modeled_s += adv.run.total_time_s();
+
+    ingest::Incremental<Prog> cold(snap, prog, icfg);
+    const metrics::RunStats cs = cold.cold_run();
+    row.cold_supersteps += cs.supersteps.size();
+    row.cold_messages += cs.net_totals().total_messages();
+    row.cold_modeled_s += cs.total_time_s();
+    ++row.epochs;
+  });
+  for (const ingest::MutationOp& op : trace) ingestor.offer(op);
+  ingestor.flush();
+  row.epoch_resident = row.epochs > 0 ? resident_sum / row.epochs : 0;
+  return row;
+}
+
+bool incremental_ingest(const algo::DatasetScale& scale) {
+  // --scale 1 is 1024 ops on GWeb at 0.4 and an 80x80 grid; the grid's side
+  // scales with the square root so its vertex count scales linearly.
+  const graph::EdgeList gweb =
+      algo::make_gweb({.factor = 0.4 * scale.factor, .seed = scale.seed}).edges;
+  graph::gen::RoadSpec road;
+  road.rows = road.cols =
+      std::max<VertexId>(2, static_cast<VertexId>(std::lround(80 * std::sqrt(scale.factor))));
+  road.shortcut_fraction = 0.0;
+  const graph::EdgeList grid = graph::gen::road_grid(road, 77);
+  const auto ops = static_cast<std::size_t>(std::llround(1024 * scale.factor));
+
+  // Adds between random vertices, removes drawn from the trace's own earlier
+  // adds; CC's trace stores both directions.
+  ingest::TraceSpec spec;
+  spec.ops = ops;
+  spec.num_vertices = gweb.num_vertices();
+  spec.seed = 7;
+  const std::vector<ingest::MutationOp> gweb_trace = ingest::synth_trace(spec);
+  spec.undirected = true;
+  const std::vector<ingest::MutationOp> cc_trace = ingest::synth_trace(spec);
+
+  const ingest::IncrementalConfig icfg =
+      ingest::make_incremental_config(overlay_snapshots(), false, 4, 2, 5000);
+  // Serving-grade PageRank tolerance: with epsilon above the per-delta
+  // perturbation scale, the incremental residual dies in a few rounds while a
+  // cold run still pays the full contraction depth.
+  const IngestRow rows[] = {
+      incremental_run("pr", gweb, gweb_trace, algo::PageRankCyclops{.epsilon = 1e-6}, icfg),
+      incremental_run("sssp", grid, local_grid_trace(road.rows, road.cols, ops, 11),
+                      algo::SsspCyclops{.source = 0}, icfg),
+      incremental_run("cc", gweb, cc_trace, algo::CcCyclops{}, icfg)};
+
+  Table t({"algo", "epochs", "supersteps inc/cold", "ratio", "messages inc/cold", "ratio",
+           "modeled(s) inc/cold", "ratio"});
+  for (const IngestRow& r : rows) {
+    t.add_row({r.algo, count(r.epochs), count(r.inc_supersteps) + "/" + count(r.cold_supersteps),
+               Table::fmt(r.superstep_ratio(), 2),
+               count(r.inc_messages) + "/" + count(r.cold_messages),
+               Table::fmt(r.message_ratio(), 2),
+               Table::fmt(r.inc_modeled_s, 4) + "/" + Table::fmt(r.cold_modeled_s, 4),
+               Table::fmt(r.modeled_time_ratio(), 2)});
+  }
+  print(t, "Incremental re-convergence vs cold per-epoch runs");
+
+  const bool full = scale.factor >= 1;
+  const IngestRow& pr = rows[0];
+  const IngestRow& sssp = rows[1];
+  char line[160];
+  std::snprintf(line, sizeof(line), "overlay epoch resident %llu vs flat base %llu (< 10%%)",
+                static_cast<unsigned long long>(pr.epoch_resident),
+                static_cast<unsigned long long>(pr.base_resident));
+  bool ok = claim(line, pr.epoch_resident * 10 < pr.base_resident, full);
+  for (const IngestRow* r : {&pr, &sssp}) {
+    std::snprintf(line, sizeof(line), "%s modeled-time reduction %.2fx (>= 3x)", r->algo.c_str(),
+                  r->modeled_time_ratio());
+    ok = claim(line, r->modeled_time_ratio() >= 3.0, full) && ok;
+  }
+  std::snprintf(line, sizeof(line), "sssp superstep reduction %.2fx (>= 3x)",
+                sssp.superstep_ratio());
+  return claim(line, sssp.superstep_ratio() >= 3.0, full) && ok;
+}
+
+// --- CAP: GraphStore capacity at a fixed memory cap (beyond the paper): the
+// largest rmat graph (8 edges/vertex) each store backend holds resident. The
+// stream backend keeps only the O(|V|) index in RAM, so it must complete a
+// PageRank run on a graph >= 4x the edges of the largest one the in-memory
+// CSR fits, which proves "fits" means "computes", not just "constructs".
+// The cap is 8 MB x --scale, and the sweep stops at the rmat scale that
+// doubling arithmetic maps to it (18 at --scale 1); the crossover is
+// scale-free. ---
+struct CapacityRow {
+  unsigned max_scale = 0;      ///< largest rmat scale whose store fits the cap
+  std::size_t max_edges = 0;   ///< |E| of that graph
+  std::uint64_t resident = 0;  ///< store-resident bytes at max_scale
+};
+
+graph::StoreOptions capped(graph::StoreKind kind, std::uint64_t cap_bytes) {
+  graph::StoreOptions o;
+  o.kind = kind;
+  o.mem_cap_bytes = cap_bytes;
+  return o;
+}
+
+CapacityRow capacity_sweep(graph::StoreKind kind, std::uint64_t cap_bytes, int max_sweep_scale) {
+  CapacityRow row;
+  for (int scale = 8; scale <= max_sweep_scale; ++scale) {
+    const graph::EdgeList e =
+        graph::gen::rmat(static_cast<unsigned>(scale), std::size_t{8} << scale, 7);
+    const auto store = graph::make_store(e, capped(kind, cap_bytes));
+    const std::uint64_t resident = store->memory().resident_bytes;
+    if (resident > cap_bytes) break;
+    row = {static_cast<unsigned>(scale), store->num_edges(), resident};
+  }
+  return row;
+}
+
+/// Runs 3 supersteps of PageRank on a stream store over the rmat graph two
+/// doublings past the in-memory limit; returns |E_stream| / |E_memory-max|,
+/// or 0 if the stream index itself exceeds the cap.
+double run_oversized_stream(const CapacityRow& memory_max, std::uint64_t cap_bytes) {
+  const unsigned scale = memory_max.max_scale + 2;
+  const graph::EdgeList e = graph::gen::rmat(scale, std::size_t{8} << scale, 7);
+  const auto store = graph::make_store(e, capped(graph::StoreKind::kStream, cap_bytes));
+  if (store->memory().resident_bytes > cap_bytes) return 0;
+  core::Config cfg = core::Config::cyclops(2, 2);
+  cfg.max_supersteps = 3;
+  core::Engine<algo::PageRankCyclops> engine(
+      *store, partition::HashPartitioner{}.partition(*store, 4), {.epsilon = 0}, cfg);
+  (void)engine.run();
+  return static_cast<double>(store->num_edges()) /
+         static_cast<double>(std::max<std::size_t>(1, memory_max.max_edges));
+}
+
+bool store_capacity(const algo::DatasetScale& scale) {
+  const auto cap_bytes = static_cast<std::uint64_t>(scale.factor * (8ull << 20));
+  const int max_sweep_scale = 18 + static_cast<int>(std::floor(std::log2(scale.factor)));
+  Table t({"store", "max scale", "max |E| under cap", "resident(MB)"});
+  CapacityRow memory_max;
+  for (const graph::StoreKind kind :
+       {graph::StoreKind::kMemory, graph::StoreKind::kCompact, graph::StoreKind::kStream}) {
+    const CapacityRow c = capacity_sweep(kind, cap_bytes, max_sweep_scale);
+    if (kind == graph::StoreKind::kMemory) memory_max = c;
+    t.add_row({std::string(graph::store_kind_name(kind)), count(c.max_scale),
+               count(c.max_edges), Table::fmt(static_cast<double>(c.resident) / (1 << 20), 3)});
+  }
+  std::printf("memory cap: %.1f MB\n", static_cast<double>(cap_bytes) / (1 << 20));
+  print(t, "Capacity: largest rmat graph resident under the cap");
+  const double factor = run_oversized_stream(memory_max, cap_bytes);
+  char line[96];
+  std::snprintf(line, sizeof(line),
+                "stream backend completed %.1fx the in-memory edge limit (>= 4x)", factor);
+  return claim(line, factor >= 4.0);
 }
 
 struct Panel {
   const char* id;  ///< DESIGN.md §3 experiment ID
-  void (*run)(const algo::DatasetScale&);
+  bool (*run)(const algo::DatasetScale&);  ///< false when a claim the panel checks fails
 };
 
 // In DESIGN.md §3's order; running them all prints every figure and table.
@@ -589,7 +1022,8 @@ constexpr Panel kPanels[] = {
     {"F3", fig3},         {"F9.1", fig9_1},   {"F9.2", fig9_2},   {"F10.1", fig10_1},
     {"F10.2", fig10_2},   {"F11.1", fig11_1}, {"F11.2", fig11_2}, {"F11.3", fig11_3},
     {"F12", fig12},       {"F13.1", fig13_1}, {"F13.2", fig13_2}, {"F13.3", fig13_3},
-    {"T2", table2},       {"T4", table4},     {"ABL", ablation},
+    {"T2", table2},       {"T4", table4},     {"ABL", ablation},  {"REC", recovery_costs},
+    {"ING", incremental_ingest},                  {"CAP", store_capacity},
 };
 
 }  // namespace
@@ -602,15 +1036,13 @@ int main(int argc, char** argv) {
   if (scale.factor <= 0) args::Parser::fail("--scale must be positive");
 
   if (figure.empty()) {
-    for (const Panel& panel : kPanels) panel.run(scale);
-    return 0;
+    bool held = true;
+    for (const Panel& panel : kPanels) held = panel.run(scale) && held;
+    return held ? 0 : 1;
   }
   std::string ids;
   for (const Panel& panel : kPanels) {
-    if (figure == panel.id) {
-      panel.run(scale);
-      return 0;
-    }
+    if (figure == panel.id) return panel.run(scale) ? 0 : 1;
     ids += std::string(" ") + panel.id;
   }
   args::Parser::fail("unknown --figure '" + figure + "'; choose from" + ids);

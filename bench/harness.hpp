@@ -1,9 +1,9 @@
 #pragma once
 // Shared benchmark harness: runs one (dataset, engine, configuration) cell
-// and returns the numbers the paper's figures/tables report. The paper
-// panels (bench_paper) and bench_recovery build their rows through this file
-// so "execution time", "#messages" and "replication factor" mean the same
-// thing everywhere.
+// and returns the numbers the paper's figures/tables report. Every
+// bench_paper panel, the REC recovery panel included, builds its rows
+// through this file so "execution time", "#messages" and "replication
+// factor" mean the same thing everywhere.
 //
 // Engine time = modeled phase work + modeled wire/barrier time (see
 // DESIGN.md §5). The job catalog (algorithms/catalog.hpp) wires each

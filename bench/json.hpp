@@ -1,19 +1,19 @@
 #pragma once
 // The bench mains' one JSON module: the writer behind every BENCH_*.json and
-// the row lookup behind every `--gate <baseline.json>`. The layout is byte-
-// stable (bench/baselines/ holds its output): one top-level field per line,
-// arrays of one-line row objects.
+// the one host-clock gate behind every `--gate <baseline.json>`. The layout
+// is byte-stable (bench/baselines/ holds its output): one top-level field per
+// line, arrays of one-line row objects.
 
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace cyclops::bench {
 
@@ -78,25 +78,26 @@ class JsonWriter {
   const char* row_sep_ = "";  ///< printed by the next row()
 };
 
-/// The text of a gate baseline file, or nullopt (with the gate error
-/// printed) when it cannot be read.
-inline std::optional<std::string> read_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "gate: cannot read baseline %s\n", path.c_str());
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+/// Host-clock rows pass at this fraction of their baseline or better:
+/// generous, to absorb host noise, so the gate catches order-of-magnitude
+/// regressions (an accidental O(n) re-decode), not percent-level jitter.
+/// Modeled numbers are not gated here; bench_paper's figure goldens pin them
+/// byte for byte.
+inline constexpr double kHostGateSlack = 0.15;
+
+/// One host-clock row to gate: the baseline row whose string fields equal
+/// every (key, value) in `match`, and this run's value of the gated field
+/// (higher is better).
+struct GateRow {
+  std::vector<std::pair<std::string, std::string>> match;
+  double current = 0;
+};
 
 /// The numeric `field` of the first flat `{...}` row of `json` whose string
 /// fields equal every (key, value) in `match`, read within that row only;
-/// 0 when no row matches or the row lacks the field.
-inline double baseline_value(
-    const std::string& json,
-    std::initializer_list<std::pair<std::string_view, std::string_view>> match,
+/// nullopt when no row matches or the row lacks the field.
+inline std::optional<double> baseline_value(
+    const std::string& json, const std::vector<std::pair<std::string, std::string>>& match,
     std::string_view field) {
   const auto key_of = [](std::string_view key) {
     std::string out = "\"";
@@ -115,9 +116,46 @@ inline double baseline_value(
     if (!matches) continue;
     const std::string key = key_of(field);
     const std::size_t at = row.find(key);
-    return at == row.npos ? 0 : std::strtod(json.c_str() + open + at + key.size(), nullptr);
+    if (at == row.npos) return std::nullopt;
+    return std::strtod(json.c_str() + open + at + key.size(), nullptr);
   }
-  return 0;
+  return std::nullopt;
+}
+
+/// The `--gate <baseline.json>` check of every host-clock bench: each row's
+/// `field` must reach kHostGateSlack x its baseline value. Prints one line
+/// per row. Returns 1 if any row falls short, has no baseline row, or the
+/// baseline cannot be read, so a renamed engine or store cannot slip out of
+/// the gate; 0 otherwise.
+inline int host_gate(const std::string& baseline_path, std::string_view field,
+                     const std::vector<GateRow>& rows) {
+  std::ifstream in(baseline_path);
+  if (!in.good()) {
+    std::fprintf(stderr, "gate: cannot read baseline %s\n", baseline_path.c_str());
+    return 1;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string json = ss.str();
+  const int width = static_cast<int>(field.size());
+  bool all_ok = true;
+  for (const GateRow& r : rows) {
+    std::string label;
+    for (const auto& [key, value] : r.match) label += (label.empty() ? "" : "/") + value;
+    const std::optional<double> base = baseline_value(json, r.match, field);
+    if (!base) {
+      std::printf("gate: %-15s no baseline row with %.*s: FAIL\n", label.c_str(), width,
+                  field.data());
+      all_ok = false;
+      continue;
+    }
+    const double floor = kHostGateSlack * *base;
+    const bool ok = r.current >= floor;
+    std::printf("gate: %-15s %.3g %.*s vs baseline %.3g (floor %.3g) %s\n", label.c_str(),
+                r.current, width, field.data(), *base, floor, ok ? "ok" : "FAIL");
+    all_ok = all_ok && ok;
+  }
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace cyclops::bench

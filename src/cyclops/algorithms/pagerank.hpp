@@ -135,4 +135,13 @@ struct PageRankGas {
                                                      unsigned max_iterations = 200,
                                                      double tolerance = 1e-13);
 
+/// A certified L1 distance from `values` to the PageRank fixpoint x* on `g`:
+/// ‖x − T(x)‖₁ / (1 − d), from one sequential sweep of the step
+/// T(x) = (1 − d)/n + d·A·x. Dangling mass is not redistributed, so A is
+/// column-substochastic and T is an L1 contraction with factor d; hence
+/// ‖x − x*‖₁ ≤ ‖x − T(x)‖₁ / (1 − d) for any x. `values` holds one value per
+/// vertex of `g`.
+[[nodiscard]] double pagerank_residual(const graph::GraphStore& g,
+                                       std::span<const double> values);
+
 }  // namespace cyclops::algo

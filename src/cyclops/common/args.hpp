@@ -129,9 +129,9 @@ inline StoreArgs store_args(Parser& p) {
   return s;
 }
 
-/// Recovery-mode selection shared by the CLI and bench_recovery. Raw strings
-/// here for the same layering reason as StoreArgs; callers convert with
-/// runtime::parse_recovery_mode and sim::LogStoreKind.
+/// The CLI's recovery-mode selection. Raw strings here for the same layering
+/// reason as StoreArgs; callers convert with runtime::parse_recovery_mode and
+/// sim::LogStoreKind.
 struct RecoveryArgs {
   std::string recovery = "rollback";  ///< rollback | log | log-parallel
   std::string log_store = "memory";   ///< memory | spill (message-log backing)

@@ -395,8 +395,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   /// One machine's self-describing checkpoint frame: engine header +
   /// superstep + that machine's workers' state. Lightweight saves master
   /// values and master shared data; heavyweight additionally persists every
-  /// replica slot, the Pregel-style full snapshot bench_recovery compares
-  /// against.
+  /// replica slot, the Pregel-style full snapshot bench_paper's REC panel
+  /// compares against.
   void checkpoint_machine(MachineId m, ByteWriter& out,
                           runtime::CheckpointMode mode) const {
     runtime::write_engine_header(out, runtime::EngineTag::kCyclops, mode,

@@ -49,7 +49,8 @@ class DeltaOverlay final : public GraphStore {
 
   /// Overlay-only footprint: the patch arrays this epoch newly allocated.
   /// The shared base is accounted by the epoch that built it — that split is
-  /// exactly the o(|E|) publication-cost claim bench_ingest measures.
+  /// exactly the o(|E|) publication-cost claim bench_paper's ING panel
+  /// measures.
   [[nodiscard]] StoreMemory memory() const noexcept override;
   [[nodiscard]] std::uint64_t message_budget_bytes() const noexcept override {
     return base_->message_budget_bytes();

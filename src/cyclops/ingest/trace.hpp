@@ -1,8 +1,9 @@
 #pragma once
 // Mutation traces — the input format of the streaming ingestion subsystem.
 // A trace is a time-ordered sequence of edge add/remove operations; the
-// replay drivers (cyclops-cli --ingest, bench_ingest) feed it through a
-// MutationIngestor, which folds ops into batched TopologyDeltas.
+// replay drivers (cyclops-cli --ingest, bench_ingest, bench_paper's ING
+// panel) feed it through a MutationIngestor, which folds ops into batched
+// TopologyDeltas.
 //
 // Text format (one op per line, '#' comments, blank lines ignored):
 //   <at_s> add <src> <dst> [weight]

@@ -14,7 +14,7 @@
 //     saves masters (mirrors resync). BSP *cannot* shed its pending messages
 //     — they are not derivable from vertex state — so its "lightweight"
 //     checkpoint still carries the in-queues. That asymmetry is the paper's
-//     §3.6 claim, measured by bench_recovery.
+//     §3.6 claim, measured by bench_paper's REC panel.
 //   * kHeavyweight — full Pregel-style snapshot: everything above plus
 //     replica/mirror state that could have been regenerated.
 

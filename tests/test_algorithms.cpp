@@ -81,6 +81,24 @@ TEST(PageRankReference, HubGetsHighestRank) {
   for (VertexId v = 1; v < 5; ++v) EXPECT_GT(rank[0], rank[v]);
 }
 
+// The residual certificate bounds the true L1 distance to the fixpoint from
+// above for any vector, on a graph with dangling vertices, and is at most
+// (1 + d) / (1 - d) times that distance; it vanishes at the fixpoint.
+TEST(PageRankResidual, BoundsTheDistanceToTheFixpoint) {
+  const graph::Csr g = graph::Csr::build(graph::gen::rmat(8, 1500, 3));
+  const auto fixpoint = pagerank_reference(g, 2000, 1e-16);
+  EXPECT_LT(pagerank_residual(g, fixpoint), 1e-12);
+  constexpr double kTightness = (1 - kPageRankDamping) / (1 + kPageRankDamping);
+  for (unsigned iterations : {0u, 1u, 2u, 8u}) {  // 0: the uniform start vector
+    const auto x = pagerank_reference(g, iterations);
+    double distance = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) distance += std::abs(x[v] - fixpoint[v]);
+    const double certificate = pagerank_residual(g, x);
+    EXPECT_LE(distance, certificate);
+    EXPECT_GE(distance, kTightness * certificate);
+  }
+}
+
 TEST(SsspReference, KnownDistances) {
   const auto dist = sssp_reference(graph::Csr::build(test::diamond_graph()), 0);
   EXPECT_DOUBLE_EQ(dist[0], 0.0);
