@@ -1,6 +1,9 @@
 #pragma once
 // Dense bitset with lock-free concurrent set(), used for vertex active sets.
 // Local activation in Cyclops is "a lock-free operation" (§5) — this is it.
+// for_each_in(begin, end, fn) walks the set bits of one index range word by
+// word, so a superstep's scan of its active and dirty masters costs the
+// set bits plus one load per 64 indices, not one test per index.
 
 #include <atomic>
 #include <cstdint>
@@ -77,8 +80,24 @@ class DenseBitset {
   /// Invokes fn(i) for every set bit, in increasing order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
+    for_each_in(0, size_, fn);
+  }
+
+  /// Invokes fn(i) for every set bit i in [begin, end), in increasing order,
+  /// skipping zero words and masking the partial first and last words. An
+  /// empty or inverted range visits nothing.
+  template <typename Fn>
+  void for_each_in(std::size_t begin, std::size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    CYCLOPS_DCHECK(end <= size_);
+    const std::size_t first = begin >> 6;
+    const std::size_t last = (end - 1) >> 6;
+    const std::uint64_t head = ~0ULL << (begin & 63);
+    const std::uint64_t tail = ~0ULL >> (63 - ((end - 1) & 63));
+    for (std::size_t w = first; w <= last; ++w) {
       std::uint64_t bits = words_[w].bits.load(std::memory_order_relaxed);
+      if (w == first) bits &= head;
+      if (w == last) bits &= tail;
       while (bits != 0) {
         const int b = __builtin_ctzll(bits);
         fn(w * 64 + static_cast<std::size_t>(b));

@@ -470,6 +470,10 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     next_active_.resize(workers);
     dirty_.resize(workers);
     converged_.resize(workers);
+    // SND's per-destination record counts: one row per (worker, thread)
+    // executor, so a superstep allocates nothing for them.
+    per_dest_.assign(static_cast<std::size_t>(workers) * std::max(1u, config_.compute_threads),
+                     std::vector<std::size_t>(workers, 0));
     for (WorkerId w = 0; w < workers; ++w) {
       const WorkerLayout& wl = layout_.workers[w];
       shared_data_[w].resize(wl.num_slots());
@@ -524,7 +528,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
 
     // --- CMP: active masters compute over the immutable view, chunked
     // across the worker's simulated compute threads; each (worker, thread)
-    // chunk is one ledger executor. ---
+    // chunk is one ledger executor and walks its chunk's active bits word by
+    // word, in increasing order. ---
     std::atomic<std::uint64_t> active{0};
     {
       verify::PhaseScope vps(vcheck_, verify::Phase::kCompute);
@@ -534,12 +539,16 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         const WorkerLayout& wl = layout_.workers[w];
         const ChunkRange r = chunk_range(wl.num_masters(), T, t);
         std::uint64_t computed = 0, scanned = 0;
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          if (!config_.force_all_active && !cur_active_[w].test(i)) continue;
+        const auto compute = [&](std::size_t i) {
           Context ctx(*this, w, static_cast<std::uint32_t>(i));
           program_.compute(ctx);
           ++computed;
           scanned += wl.in_offsets[i + 1] - wl.in_offsets[i];
+        };
+        if (config_.force_all_active) {
+          for (std::size_t i = r.begin; i < r.end; ++i) compute(i);
+        } else {
+          cur_active_[w].for_each_in(r.begin, r.end, compute);
         }
         active += computed;
         ledger_.charge_compute(
@@ -553,7 +562,8 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     // --- SND: apply staged data locally and send one message per replica of
     // each dirty master, batched through the typed sync channel: each lane
     // first sizes its chunk's traffic per destination, reserves once, then
-    // appends records directly — no per-record serializer round-trip.
+    // appends records directly — no per-record serializer round-trip. Both
+    // passes walk the chunk's dirty bits word by word.
     // CyclopsMT parallelizes the send path with private per-thread out-queues
     // (fabric lanes), §5 — each compute thread ships the sync messages of its
     // own master chunk. ---
@@ -565,19 +575,18 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
         const WorkerLayout& wl = layout_.workers[w];
         auto sender = Channel::sender(fabric_, w, t, &vcheck_, CYCLOPS_VLOC);
         const ChunkRange range = chunk_range(wl.num_masters(), T, t);
-        std::vector<std::size_t> per_dest(workers, 0);
+        std::vector<std::size_t>& per_dest = per_dest_[e];
+        std::fill(per_dest.begin(), per_dest.end(), 0);
         std::uint64_t emitted = 0;
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          if (!dirty_[w].test(i)) continue;
+        dirty_[w].for_each_in(range.begin, range.end, [&](std::size_t i) {
           for (std::size_t r = wl.rep_offsets[i]; r < wl.rep_offsets[i + 1]; ++r) {
             ++per_dest[wl.rep_targets[r].worker];
           }
-        }
+        });
         for (WorkerId to = 0; to < workers; ++to) {
           if (per_dest[to] > 0) sender.reserve(to, per_dest[to]);
         }
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          if (!dirty_[w].test(i)) continue;
+        dirty_[w].for_each_in(range.begin, range.end, [&](std::size_t i) {
           const Message& msg = pending_[w][i];
           vcheck_.on_master_write(w, w, static_cast<std::uint32_t>(i), CYCLOPS_VLOC);
           shared_data_[w][i] = msg;  // local apply: visible next superstep
@@ -586,7 +595,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
             sender.send(ref.worker, WireRecord{ref.slot, msg});
             ++emitted;
           }
-        }
+        });
         ledger_.charge_send(e, static_cast<double>(emitted) * per_emit_us);
       });
     }
@@ -631,23 +640,24 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
     // --- SYN: swap active sets, decide termination. Its modeled time is the
     // exchange's barrier. ---
     verify::PhaseScope syn_scope(vcheck_, verify::Phase::kSync);
-    bool any_active = false;
     // Fine-grained convergence (§4.4): a vertex counts as converged when its
     // last compute reported a sub-epsilon error (mark_converged) OR when it
     // is inactive — a deactivated vertex cannot change until reactivated.
+    // One word-skipping walk of the new active set counts both.
+    std::uint64_t activated = 0;
     std::uint64_t active_unconverged = 0;
     std::uint64_t total_masters = 0;
     for (WorkerId w = 0; w < workers; ++w) {
       cur_active_[w].swap(next_active_[w]);
       next_active_[w].clear_all();
-      any_active = any_active || cur_active_[w].any();
       total_masters += layout_.workers[w].num_masters();
       cur_active_[w].for_each([&](std::size_t i) {
+        ++activated;
         if (!converged_[w].test(i)) ++active_unconverged;
       });
     }
     step.converged_vertices = total_masters - active_unconverged;
-    bool done = !any_active;
+    bool done = activated == 0;
     if (config_.stop_converged_fraction < 1.0 && graph_->num_vertices() > 0) {
       const double frac = static_cast<double>(step.converged_vertices) /
                           static_cast<double>(graph_->num_vertices());
@@ -667,6 +677,7 @@ class Engine : public runtime::EngineShell<Engine<Program>, Config> {
   std::vector<DenseBitset> next_active_;
   std::vector<DenseBitset> dirty_;
   std::vector<DenseBitset> converged_;
+  std::vector<std::vector<std::size_t>> per_dest_;  // [executor][destination worker]
 };
 
 }  // namespace cyclops::core

@@ -120,6 +120,39 @@ TEST(DenseBitset, ForEachVisitsInOrder) {
   EXPECT_EQ(seen, expected);
 }
 
+TEST(DenseBitset, ForEachInMatchesTestLoop) {
+  // Range ends on, beside and between word boundaries; every ordered pair
+  // of them, so empty (begin == end), inverted (begin > end) and one-word
+  // ranges all occur.
+  const std::vector<std::size_t> marks{0, 1, 2, 31, 62, 63, 64, 65, 100, 127, 128, 129, 130,
+                                       191, 192, 500, 511, 512, 513, 999, 1000};
+  Rng rng(2718);
+  for (const std::size_t n : {0, 1, 63, 64, 65, 130, 1000}) {
+    for (const double density : {0.02, 0.5, 1.0}) {
+      DenseBitset bs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.next_bool(density)) bs.set(i);
+      }
+      std::vector<std::size_t> grid;
+      for (const std::size_t m : marks) {
+        if (m <= n) grid.push_back(m);
+      }
+      for (const std::size_t begin : grid) {
+        for (const std::size_t end : grid) {
+          std::vector<std::size_t> want;
+          for (std::size_t i = begin; i < end; ++i) {
+            if (bs.test(i)) want.push_back(i);
+          }
+          std::vector<std::size_t> seen;
+          bs.for_each_in(begin, end, [&](std::size_t i) { seen.push_back(i); });
+          ASSERT_EQ(seen, want) << "n=" << n << " density=" << density << " [" << begin
+                                << ", " << end << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(DenseBitset, ConcurrentSetIsLossless) {
   DenseBitset bs(10000);
   std::vector<Thread> threads;

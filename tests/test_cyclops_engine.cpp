@@ -245,6 +245,39 @@ TEST(CyclopsSssp, PushModeTouchesOnlyFrontier) {
   }
 }
 
+TEST(CyclopsSssp, ForceAllActiveMtMatchesTheFrontierWalk) {
+  // CyclopsMT chunks of ~37 masters split bitset words, so the dynamic run's
+  // range walks start and end mid-word; the ablation's plain loop visits
+  // every master. Both reach the same distances; the forced run is one
+  // superstep ahead, because in superstep 0 the source's out-neighbors
+  // already read its initial distance 0 instead of waiting to be activated.
+  graph::gen::RoadSpec spec;
+  spec.rows = 15;
+  spec.cols = 15;
+  const graph::Csr g = graph::Csr::build(graph::gen::road_grid(spec, 7));
+  auto run_with = [&](bool force) {
+    Config cfg = Config::cyclops_mt(2, 3, 2);
+    cfg.max_supersteps = 500;
+    cfg.force_all_active = force;
+    Engine<SsspCyclops> engine(g, test::hash_partition(g, 2), SsspCyclops{.source = 0}, cfg);
+    const auto stats = engine.run();
+    std::uint64_t computed = 0;
+    for (const auto& s : stats.supersteps) {
+      if (force) {
+        EXPECT_EQ(s.computed_vertices, g.num_vertices());
+      }
+      computed += s.computed_vertices;
+    }
+    return std::make_tuple(engine.values(), stats.supersteps.size(), computed);
+  };
+  const auto [forced, forced_steps, forced_computed] = run_with(true);
+  const auto [dynamic, dynamic_steps, dynamic_computed] = run_with(false);
+  EXPECT_EQ(forced, algo::sssp_reference(g, 0));
+  EXPECT_EQ(dynamic, forced);
+  EXPECT_EQ(dynamic_steps, forced_steps + 1);
+  EXPECT_LT(dynamic_computed, forced_computed / 4);
+}
+
 // ---------- Community Detection ----------
 
 TEST(CyclopsCd, MatchesSequentialReference) {

@@ -223,11 +223,15 @@ std::string describe(const Cell& c) {
 
 /// How far a cell may sit from the sequential reference. SSSP, CC and CD are
 /// exact: min-plus relaxation and label votes reach the same doubles and
-/// labels in any order. PageRank stops once no rank moves by more than ε per
-/// superstep, which leaves it within 1e4·ε of the reference's fixpoint (1e-8
-/// at ε = 1e-12; the gap seen at ε = 1e-10 is about 1e2·ε). ALS sums each
-/// neighborhood in the engine's delivery order, not the reference's in-edge
-/// order, so rounding differs: 1e-7.
+/// labels in any order. ALS sums each neighborhood in the engine's delivery
+/// order, not the reference's in-edge order, so rounding differs: 1e-7.
+/// PageRank is held to its certificate instead of to the reference's
+/// approximate fixpoint: algo::pagerank_residual, ‖x − T(x)‖₁ / (1 − d),
+/// bounds the L1 distance from the values to the true fixpoint x*, and must
+/// stay within 1e4·ε. Every engine stops once no rank moves by more than ε
+/// per superstep; the largest certificate in the harness is about 3.8e3·ε
+/// (Cyclops on R-MAT, 512 vertices). Every catalog pair iterates the same
+/// T(x) = (1 − d)/n + d·A·x, dangling mass not redistributed.
 double tolerance(const Cell& c) {
   if (c.algo == Algo::kPageRank) return 1e4 * c.params.epsilon;
   if (c.algo == Algo::kAls) return 1e-7;
@@ -242,7 +246,7 @@ std::vector<double> reference(const graph::GraphStore& g, const Cell& c,
                               std::size_t supersteps) {
   switch (c.algo) {
     case Algo::kPageRank:
-      return pagerank_reference(g);
+      return {};  // checked by its certificate, see tolerance()
     case Algo::kSssp:
       return sssp_reference(g, c.params.source);
     case Algo::kCc: {
@@ -288,6 +292,17 @@ void expect_near(const std::vector<double>& got, const std::vector<double>& want
 
 void expect_matches_reference(const graph::GraphStore& g, const Cell& c, const Outcome& o) {
   EXPECT_TRUE(o.replicas_consistent) << describe(c);
+  if (c.algo == Algo::kPageRank) {
+    // One rank per vertex: PageRankGas flattens to (rank, out_degree).
+    const VertexId n = g.num_vertices();
+    ASSERT_EQ(o.values.size() % n, 0u) << describe(c);
+    const std::size_t width = o.values.size() / n;
+    std::vector<double> rank(n);
+    for (VertexId v = 0; v < n; ++v) rank[v] = o.values[v * width];
+    EXPECT_LE(pagerank_residual(g, rank), tolerance(c))
+        << describe(c) << ": certified L1 distance to the fixpoint";
+    return;
+  }
   expect_near(o.values, reference(g, c, o.supersteps), g.num_vertices(), tolerance(c),
               describe(c) + " vs reference");
 }
@@ -816,14 +831,20 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CcEngines,
 TEST(EngineEquivalence, PageRankAgreesAcrossAllThreeEngines) {
   const Stores stores(graph::gen::rmat(9, 3000, 77));
   Cell c = cell(Algo::kPageRank, EngineKind::kHama, 4, 1, 300, pr(1e-12));
+  const graph::GraphStore& g = stores[StoreKind::kMemory];
   const Outcome bsp = run_cell(stores, c);
-  const VertexId n = stores[StoreKind::kMemory].num_vertices();
+  expect_matches_reference(g, c, bsp);
+  const VertexId n = g.num_vertices();
   const double tol = tolerance(c);
   c.engine = EngineKind::kCyclops;
-  expect_near(run_cell(stores, c).values, bsp.values, n, tol, "cyclops vs bsp");
+  const Outcome cyclops = run_cell(stores, c);
+  expect_matches_reference(g, c, cyclops);
+  expect_near(cyclops.values, bsp.values, n, tol, "cyclops vs bsp");
   c.engine = EngineKind::kGas;
   c.greedy_cut = true;
-  expect_near(run_cell(stores, c).values, bsp.values, n, tol, "gas vs bsp");
+  const Outcome gas = run_cell(stores, c);
+  expect_matches_reference(g, c, gas);
+  expect_near(gas.values, bsp.values, n, tol, "gas vs bsp");
 }
 
 TEST(EngineEquivalence, SsspAgreesBetweenBspAndCyclops) {
