@@ -1,6 +1,8 @@
 #include "cyclops/core/layout.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/timer.hpp"
@@ -26,34 +28,39 @@ Layout build_layout(const graph::GraphStore& g, const partition::EdgeCutPartitio
 
   // --- REP phase: replica discovery (this is the extra ingress superstep
   // §4.3 describes: each vertex "sends" along its out-edges; a remote worker
-  // creates the replica on first receipt). ---
+  // creates the replica on first receipt). Walking v in increasing order
+  // with one "last v" marker per worker leaves each list sorted and free of
+  // duplicates. ---
   Timer rep_timer;
   std::vector<std::vector<VertexId>> replica_sets(workers);
-  for (VertexId v = 0; v < n; ++v) {
-    const WorkerId home = p.owner(v);
-    for (const graph::Adj& a : g.out_neighbors(v, cur)) {
-      const WorkerId w = p.owner(a.neighbor);
-      if (w != home) replica_sets[w].push_back(v);
+  {
+    std::vector<VertexId> last(workers, kInvalidVertex);
+    for (VertexId v = 0; v < n; ++v) {
+      const WorkerId home = p.owner(v);
+      for (const graph::Adj& a : g.out_neighbors(v, cur)) {
+        const WorkerId w = p.owner(a.neighbor);
+        if (w != home && last[w] != v) {
+          last[w] = v;
+          replica_sets[w].push_back(v);
+        }
+      }
     }
   }
-  // Per-worker slot map: global id -> slot. Masters first, then replicas
-  // sorted by (owner, id) — the §4.1 locality grouping.
-  std::vector<std::unordered_map<VertexId, Slot>> slot_of(workers);
+  // Replica slots follow the masters, ordered by (owner, id) — the §4.1
+  // locality grouping: one stable counting bucket by owner.
+  std::vector<std::size_t> bucket(static_cast<std::size_t>(workers) + 1);
   for (WorkerId w = 0; w < workers; ++w) {
     WorkerLayout& wl = layout.workers[w];
-    auto& reps = replica_sets[w];
-    std::sort(reps.begin(), reps.end());
-    reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
-    std::sort(reps.begin(), reps.end(), [&](VertexId a, VertexId b) {
-      return p.owner(a) != p.owner(b) ? p.owner(a) < p.owner(b) : a < b;
-    });
-    wl.replica_globals = reps;
+    std::vector<VertexId> reps = std::move(replica_sets[w]);
+    std::fill(bucket.begin(), bucket.end(), 0);
+    for (const VertexId v : reps) ++bucket[p.owner(v) + 1];
+    std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+    wl.replica_globals.resize(reps.size());
     wl.replica_owner.resize(reps.size());
-    slot_of[w].reserve(wl.masters.size() + reps.size());
-    for (Slot s = 0; s < wl.num_masters(); ++s) slot_of[w].emplace(wl.masters[s], s);
-    for (Slot i = 0; i < wl.num_replicas(); ++i) {
-      wl.replica_owner[i] = p.owner(reps[i]);
-      slot_of[w].emplace(reps[i], wl.num_masters() + i);
+    for (const VertexId v : reps) {
+      const std::size_t i = bucket[p.owner(v)]++;
+      wl.replica_globals[i] = v;
+      wl.replica_owner[i] = p.owner(v);
     }
     layout.total_replicas += reps.size();
   }
@@ -61,9 +68,11 @@ Layout build_layout(const graph::GraphStore& g, const partition::EdgeCutPartitio
 
   // --- INIT phase: in-edges, local out-edges, replica sync targets. ---
   Timer init_timer;
+  constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
+  std::vector<Slot> slot_of(n, kNoSlot);  // global id -> slot on the worker being built
   for (WorkerId w = 0; w < workers; ++w) {
     WorkerLayout& wl = layout.workers[w];
-    const auto& slots = slot_of[w];
+    for (Slot s = 0; s < wl.num_slots(); ++s) slot_of[wl.slot_global(s)] = s;
 
     // In-edges of each master, resolved to local slots. Every in-neighbor is
     // either a local master or has a replica here (it has an out-edge to a
@@ -76,11 +85,12 @@ Layout build_layout(const graph::GraphStore& g, const partition::EdgeCutPartitio
     for (std::uint32_t i = 0; i < wl.num_masters(); ++i) {
       std::size_t cursor = wl.in_offsets[i];
       for (const graph::Adj& a : g.in_neighbors(wl.masters[i], cur)) {
-        const auto it = slots.find(a.neighbor);
-        CYCLOPS_CHECK(it != slots.end());
-        wl.in_adj[cursor++] = SlotAdj{it->second, a.weight};
+        const Slot s = slot_of[a.neighbor];
+        CYCLOPS_CHECK(s != kNoSlot);
+        wl.in_adj[cursor++] = SlotAdj{s, a.weight};
       }
     }
+    for (Slot s = 0; s < wl.num_slots(); ++s) slot_of[wl.slot_global(s)] = kNoSlot;
 
     // Local out-edges per slot (two-pass CSR fill).
     wl.lout_offsets.assign(wl.num_slots() + 1, 0);

@@ -12,7 +12,6 @@
 // replica→master traffic, unlike GraphLab's ghosts, §2.3).
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cyclops/common/types.hpp"

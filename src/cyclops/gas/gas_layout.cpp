@@ -1,6 +1,7 @@
 #include "cyclops/gas/gas_layout.hpp"
 
-#include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "cyclops/common/check.hpp"
 #include "cyclops/common/timer.hpp"
@@ -16,76 +17,85 @@ GasLayout build_gas_layout(const graph::GraphStore& g,
   layout.workers.resize(workers);
   layout.master_ref.assign(n, MirrorRef{});
 
-  // Copy discovery: a worker holds a copy of v if it hosts an edge incident
-  // to v, or if it is v's designated master.
-  std::vector<std::vector<VertexId>> copy_sets(workers);
+  // Place each edge on its worker; endpoints stay global ids until the
+  // worker's copies are numbered.
   {
+    std::vector<std::size_t> placed(workers, 0);
+    for (const WorkerId w : p.edge_owners()) ++placed[w];
+    for (WorkerId w = 0; w < workers; ++w) layout.workers[w].edges.reserve(placed[w]);
     std::size_t e = 0;
-    g.for_each_edge([&](VertexId src, VertexId dst, double) {
-      const WorkerId w = p.edge_owner(e++);
-      copy_sets[w].push_back(src);
-      copy_sets[w].push_back(dst);
+    g.for_each_edge([&](VertexId src, VertexId dst, double weight) {
+      layout.workers[p.edge_owner(e++)].edges.push_back(LocalEdge{src, dst, weight});
     });
   }
-  for (VertexId v = 0; v < n; ++v) copy_sets[p.master(v)].push_back(v);
 
-  std::vector<std::unordered_map<VertexId, Copy>> copy_of(workers);
+  // Copy discovery: a worker holds a copy of v if it hosts an edge incident
+  // to v, or if it is v's designated master. A presence pass over increasing
+  // v numbers the copies in id order; copy_of then rewrites the endpoints
+  // and is cleared for the next worker.
+  constexpr Copy kNoCopy = std::numeric_limits<Copy>::max();
+  constexpr Copy kPresent = kNoCopy - 1;
+  std::vector<Copy> copy_of(n, kNoCopy);
   for (WorkerId w = 0; w < workers; ++w) {
-    auto& set = copy_sets[w];
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
     GasWorkerLayout& wl = layout.workers[w];
-    wl.copy_globals = set;
-    wl.is_master.assign(set.size(), 0);
-    wl.master_of.assign(set.size(), MirrorRef{});
-    copy_of[w].reserve(set.size());
-    for (Copy c = 0; c < wl.num_copies(); ++c) {
-      copy_of[w].emplace(set[c], c);
-      if (p.master(set[c]) == w) {
-        wl.is_master[c] = 1;
-        layout.master_ref[set[c]] = MirrorRef{w, c};
+    for (const LocalEdge& e : wl.edges) copy_of[e.src] = copy_of[e.dst] = kPresent;
+    for (VertexId v = 0; v < n; ++v) {
+      if (copy_of[v] == kPresent || p.master(v) == w) {
+        copy_of[v] = wl.num_copies();
+        wl.copy_globals.push_back(v);
       }
     }
-    layout.total_copies += set.size();
+    wl.copy_globals.shrink_to_fit();
+    for (LocalEdge& e : wl.edges) {
+      e.src = copy_of[e.src];
+      e.dst = copy_of[e.dst];
+    }
+    wl.is_master.assign(wl.num_copies(), 0);
+    wl.master_of.assign(wl.num_copies(), MirrorRef{});
+    for (Copy c = 0; c < wl.num_copies(); ++c) {
+      const VertexId v = wl.copy_globals[c];
+      copy_of[v] = kNoCopy;
+      if (p.master(v) == w) {
+        wl.is_master[c] = 1;
+        layout.master_ref[v] = MirrorRef{w, c};
+      }
+    }
+    layout.total_copies += wl.num_copies();
   }
 
-  // master_of per copy, and mirror lists per master.
-  std::vector<std::vector<std::vector<MirrorRef>>> mirror_lists(workers);
+  // master_of per copy, and mirror lists per master (two-pass CSR fill in
+  // (worker, copy) order).
   for (WorkerId w = 0; w < workers; ++w) {
-    mirror_lists[w].resize(layout.workers[w].num_copies());
+    GasWorkerLayout& wl = layout.workers[w];
+    wl.mirror_offsets.assign(wl.num_copies() + 1, 0);
   }
   for (WorkerId w = 0; w < workers; ++w) {
     GasWorkerLayout& wl = layout.workers[w];
     for (Copy c = 0; c < wl.num_copies(); ++c) {
       const MirrorRef master = layout.master_ref[wl.copy_globals[c]];
       wl.master_of[c] = master;
-      if (!wl.is_master[c]) {
-        mirror_lists[master.worker][master.copy].push_back(MirrorRef{w, c});
-      }
+      if (!wl.is_master[c]) ++layout.workers[master.worker].mirror_offsets[master.copy + 1];
     }
   }
+  std::vector<std::vector<std::size_t>> mirror_cursor(workers);
   for (WorkerId w = 0; w < workers; ++w) {
     GasWorkerLayout& wl = layout.workers[w];
-    wl.mirror_offsets.assign(wl.num_copies() + 1, 0);
-    for (Copy c = 0; c < wl.num_copies(); ++c) {
-      wl.mirror_offsets[c + 1] = wl.mirror_offsets[c] + mirror_lists[w][c].size();
-    }
+    std::partial_sum(wl.mirror_offsets.begin(), wl.mirror_offsets.end(),
+                     wl.mirror_offsets.begin());
     wl.mirrors.resize(wl.mirror_offsets.back());
+    mirror_cursor[w].assign(wl.mirror_offsets.begin(), wl.mirror_offsets.end() - 1);
+  }
+  for (WorkerId w = 0; w < workers; ++w) {
+    const GasWorkerLayout& wl = layout.workers[w];
     for (Copy c = 0; c < wl.num_copies(); ++c) {
-      std::copy(mirror_lists[w][c].begin(), mirror_lists[w][c].end(),
-                wl.mirrors.begin() + static_cast<std::ptrdiff_t>(wl.mirror_offsets[c]));
+      if (wl.is_master[c]) continue;
+      const MirrorRef master = wl.master_of[c];
+      layout.workers[master.worker].mirrors[mirror_cursor[master.worker][master.copy]++] =
+          MirrorRef{w, c};
     }
   }
 
-  // Local edges + per-copy in/out CSR.
-  {
-    std::size_t e = 0;
-    g.for_each_edge([&](VertexId src, VertexId dst, double weight) {
-      const WorkerId w = p.edge_owner(e++);
-      GasWorkerLayout& wl = layout.workers[w];
-      wl.edges.push_back(LocalEdge{copy_of[w].at(src), copy_of[w].at(dst), weight});
-    });
-  }
+  // Per-copy in/out CSR over the local edges.
   for (WorkerId w = 0; w < workers; ++w) {
     GasWorkerLayout& wl = layout.workers[w];
     wl.in_offsets.assign(wl.num_copies() + 1, 0);

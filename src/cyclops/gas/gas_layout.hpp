@@ -6,7 +6,6 @@
 // pattern the paper counts (2 gather + 1 apply + 2 scatter per mirror).
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cyclops/common/types.hpp"

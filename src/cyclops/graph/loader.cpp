@@ -1,6 +1,7 @@
 #include "cyclops/graph/loader.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -12,12 +13,13 @@ namespace cyclops::graph {
 EdgeList load_edge_list(std::istream& in, const LoadOptions& opts) {
   EdgeList edges;
   std::unordered_map<std::uint64_t, VertexId> remap;
-  std::uint64_t line_begin = 0;  // byte offset of the current line's start
+  std::uint64_t next_line = 0;  // byte offset of the next line's start
+  std::uint64_t this_line = 0;  // byte offset of the current line's start
   std::size_t lineno = 0;
   auto densify = [&](std::uint64_t raw) -> VertexId {
     if (!opts.densify_ids) {
       if (raw > kInvalidVertex - 1) {
-        throw LoadError("vertex id overflows 32 bits", line_begin, lineno);
+        throw LoadError("vertex id overflows 32 bits", this_line, lineno);
       }
       return static_cast<VertexId>(raw);
     }
@@ -28,8 +30,8 @@ EdgeList load_edge_list(std::istream& in, const LoadOptions& opts) {
   std::string line;
   while (std::getline(in, line)) {
     ++lineno;
-    const std::uint64_t this_line = line_begin;
-    line_begin += line.size() + 1;  // getline consumed the '\n' too
+    this_line = next_line;
+    next_line += line.size() + 1;  // getline consumed the '\n' too
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
     std::istringstream ls(line);
     std::uint64_t raw_src = 0;
@@ -38,14 +40,18 @@ EdgeList load_edge_list(std::istream& in, const LoadOptions& opts) {
       throw LoadError("malformed edge", this_line, lineno);
     }
     double weight = opts.default_weight;
-    if (double w = 0; ls >> w) {
+    // strtod, unlike operator>>, reads "inf" and "nan" and reports overflow
+    // as ±HUGE_VAL, so non-finite weights are told apart from non-numbers.
+    if (std::string token; ls >> token) {
+      char* end = nullptr;
+      const double w = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) {
+        throw LoadError("malformed weight", this_line, lineno);
+      }
       if (!std::isfinite(w)) {
         throw LoadError("non-finite weight", this_line, lineno);
       }
       weight = w;
-    } else if (!ls.eof()) {
-      // A third column exists but is not a number — corrupt, not absent.
-      throw LoadError("malformed weight", this_line, lineno);
     }
     const VertexId src = densify(raw_src);
     const VertexId dst = densify(raw_dst);

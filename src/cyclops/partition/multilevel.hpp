@@ -3,6 +3,12 @@
 // classic three phases — heavy-edge-matching coarsening, greedy region-growing
 // initial partition on the coarsest graph, and greedy boundary (FM-style)
 // refinement during uncoarsening. Deterministic in the configured seed.
+//
+// No hash maps: the input is symmetrized by a counting sort, contraction
+// merges each coarse vertex's neighbours through a dense "last seen" marker
+// (METIS style), and refinement evaluates only boundary vertices — those
+// with a neighbour in another part — keeping per-level boundary flags
+// exact across moves. Every random sweep still draws the same numbers.
 
 #include <cstdint>
 

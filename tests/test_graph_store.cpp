@@ -292,6 +292,37 @@ TEST(Loader, MalformedLineReportsOffsetAndLine) {
   }
 }
 
+/// Parses `text` with densify_ids off and expects a LoadError whose message
+/// starts with `why`, naming line 3 at byte offset 8 (two 4-byte lines before).
+void expect_load_error_on_line3(const std::string& text, const std::string& why) {
+  std::istringstream in(text);
+  LoadOptions opts;
+  opts.densify_ids = false;
+  try {
+    (void)load_edge_list(in, opts);
+    FAIL() << "parser accepted " << text;
+  } catch (const LoadError& err) {
+    EXPECT_EQ(std::string(err.what()).rfind(why, 0), 0u) << err.what();
+    EXPECT_EQ(err.line(), 3u) << err.what();
+    EXPECT_EQ(err.byte_offset(), 8u) << err.what();
+  }
+}
+
+TEST(Loader, VertexIdPast32BitsOverflows) {
+  expect_load_error_on_line3("0 1\n1 2\n4294967296 0\n", "vertex id overflows 32 bits");
+  expect_load_error_on_line3("0 1\n1 2\n0 4294967296\n", "vertex id overflows 32 bits");
+}
+
+TEST(Loader, NonFiniteWeightIsRejected) {
+  expect_load_error_on_line3("0 1\n1 2\n2 3 inf\n", "non-finite weight");
+  expect_load_error_on_line3("0 1\n1 2\n2 3 -inf\n", "non-finite weight");
+  expect_load_error_on_line3("0 1\n1 2\n2 3 nan\n", "non-finite weight");
+}
+
+TEST(Loader, NonNumericWeightIsMalformed) {
+  expect_load_error_on_line3("0 1\n1 2\n2 3 abc\n", "malformed weight");
+}
+
 TEST(Loader, TruncatedBinaryReportsOffset) {
   EdgeList e(10);
   for (VertexId v = 0; v + 1 < 10; ++v) e.add(v, v + 1, 0.5 * v);

@@ -411,6 +411,17 @@ void expect_equivalent(Program prog, bool mt) {
         max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
       }
       EXPECT_LE(max_diff, 1e-12);
+      // Each vector's certified L1 distance to the fixpoint of the final
+      // snapshot (algo::pagerank_residual). A vertex halts once its own step
+      // moves it by at most ε, so ‖x − T(x)‖₁ is of order n·ε and the
+      // certificate of order n·ε / (1 − d); allow twice that. (The
+      // differential harness's flat 1e4·ε is sized for its ≤ 512-vertex zoo:
+      // on these 1024 vertices both vectors certify about 1.006e-11.)
+      const auto last = store.current();
+      const double bound = 2.0 * static_cast<double>(last->store().num_vertices()) *
+                           prog.epsilon / (1.0 - algo::kPageRankDamping);
+      EXPECT_LE(algo::pagerank_residual(last->store(), a), bound) << "incremental";
+      EXPECT_LE(algo::pagerank_residual(last->store(), b), bound) << "cold";
     } else {
       // SSSP distances are identical path-weight sums and CC labels are
       // exact minima: bit-identical, not just close.
